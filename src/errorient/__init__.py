@@ -10,8 +10,8 @@ moves circuit fidelity by orders of magnitude at fixed gate fidelity.
 from .circuit import (Circuit, GateOp, basis_state, build_bv,
                       build_controlled_pauli_rot, build_pea, build_toffoli,
                       circuit_fidelity, circuit_infidelity, circuit_unitary,
-                      format_circuit, ideal_toffoli, op_unitary, parse_circuit,
-                      simulate, with_variants)
+                      format_circuit, ideal_toffoli, op_core, op_unitary,
+                      parse_circuit, simulate, with_variants)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
                     cnot_variant, gate_fidelity, gate_infidelity, ideal_cnot,
                     noisy_rot, sk1)

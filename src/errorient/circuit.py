@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import qmat
-from .gates import ErrorModel, PulseVariant, cnot_variant, sk1
+from .gates import ErrorModel, PulseVariant, _cnot_core, sk1
 from .qmat import MAX_QUBITS, PauliString, embed, rot
 
 _SQ2 = 1 / math.sqrt(2)
@@ -25,12 +26,16 @@ GAMMA = np.array([[_SQ2, -1j * _SQ2], [1j * _SQ2, -_SQ2]], dtype=complex)
 
 _FIXED_1Q = {
     "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": qmat.PAULI_1Q["X"],
-    "Z": qmat.PAULI_1Q["Z"],
+    "X": qmat.PAULI_1Q["X"].copy(),
+    "Z": qmat.PAULI_1Q["Z"].copy(),
     "T": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
     "TDG": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
     "GAMMA": GAMMA,
 }
+# op_core hands these out shared, so they must stay unmodified.
+for _core in _FIXED_1Q.values():
+    _core.flags.writeable = False
+del _core
 
 _ROTATION_1Q = {"RX": "X", "RY": "Y", "RZ": "Z"}
 _TWO_QUBIT_PULSES = ("XX", "YY")
@@ -42,7 +47,7 @@ _PULSE_ARM = {"XX": PauliString("YX"), "YY": PauliString("ZY")}
 GATE_KINDS = tuple(_FIXED_1Q) + tuple(_ROTATION_1Q) + ("CNOT",) + _TWO_QUBIT_PULSES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     """One circuit element: a named gate on specific wires.
 
@@ -72,6 +77,8 @@ class GateOp:
             raise ValueError(f"{kind} requires an angle")
         if not needs_angle and self.angle is not None:
             raise ValueError(f"{kind} takes no angle")
+        if needs_angle and not math.isfinite(self.angle):
+            raise ValueError(f"{kind} angle must be finite, got {self.angle!r}")
         if kind == "CNOT":
             object.__setattr__(
                 self, "variant",
@@ -116,7 +123,7 @@ def basis_state(label: str) -> np.ndarray:
     return _as_state(label, len(label), "basis state")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Circuit:
     """Ordered gate list with input state, output register, and ideal output."""
 
@@ -170,22 +177,27 @@ def with_variants(circuit: Circuit, assignment: dict[int, PulseVariant]) -> Circ
     return replace(circuit, ops=tuple(ops))
 
 
-def op_unitary(op: GateOp, width: int, err: ErrorModel) -> np.ndarray:
-    """Full-register unitary of one op; epsilon touches only XX/YY pulses."""
+def op_core(op: GateOp, err: ErrorModel) -> np.ndarray:
+    """Local 2x2 or 4x4 matrix of one op, tensor factors in ``op.qubits`` order.
+
+    Epsilon touches only CNOT and XX/YY pulses.  The result may be a shared
+    read-only array; callers must not modify it.
+    """
     if op.kind == "CNOT":
-        return cnot_variant(op.variant, op.qubits[0], op.qubits[1], err, width)
+        return _cnot_core(op.variant, err.epsilon)
     if op.kind in _TWO_QUBIT_PULSES:
         gen = PauliString(op.kind)
         if op.sk1:
-            core = sk1(gen, _PULSE_ARM[op.kind], op.angle, err)
-        else:
-            core = rot(gen, op.angle * (1 + err.epsilon))
-        return embed(core, op.qubits, width)
+            return sk1(gen, _PULSE_ARM[op.kind], op.angle, err)
+        return rot(gen, op.angle * (1 + err.epsilon))
     if op.kind in _ROTATION_1Q:
-        core = rot(PauliString(_ROTATION_1Q[op.kind]), op.angle)
-    else:
-        core = _FIXED_1Q[op.kind]
-    return embed(core, op.qubits, width)
+        return rot(PauliString(_ROTATION_1Q[op.kind]), op.angle)
+    return _FIXED_1Q[op.kind]
+
+
+def op_unitary(op: GateOp, width: int, err: ErrorModel) -> np.ndarray:
+    """Full-register unitary of one op: :func:`op_core` embedded on its wires."""
+    return embed(op_core(op, err), op.qubits, width)
 
 
 def simulate(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> np.ndarray:
@@ -400,12 +412,28 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADERS = ("qubits", "input", "output")
+
+
+def _check_count(args, *counts):
+    """Raise ValueError unless ``len(args)`` is one of ``counts``."""
+    if len(args) not in counts:
+        want = " or ".join(map(str, counts))
+        raise ValueError(f"expected {want} argument(s), got {len(args)}")
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-oriented circuit format; inverse of :func:`format_circuit`."""
+    """Parse the line-oriented circuit format; inverse of :func:`format_circuit`.
+
+    Anything the format does not define is rejected with its line number:
+    repeated header lines, extra or misspelt tokens, non-finite angles.
+    Identical op lines yield one shared :class:`GateOp`.
+    """
     width = None
     input_state = None
     output_register: tuple[int, ...] = ()
     ideal_output = None
+    seen: set[str] = set()
     ops: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -414,20 +442,27 @@ def parse_circuit(text: str) -> Circuit:
         tokens = line.split()
         head = tokens[0].lower()
         try:
+            if head in _HEADERS:
+                if head in seen:
+                    raise ValueError(f"repeated {head!r} line")
+                seen.add(head)
             if head == "qubits":
+                _check_count(tokens[1:], 1)
                 width = int(tokens[1])
             elif head == "input":
+                _check_count(tokens[1:], 1)
                 input_state = tokens[1]
             elif head == "output":
                 rest = tokens[1:]
                 if "=" in rest:
                     eq = rest.index("=")
                     output_register = tuple(int(q) for q in rest[:eq])
+                    _check_count(rest[eq + 1:], 1)
                     ideal_output = rest[eq + 1]
                 else:
                     output_register = tuple(int(q) for q in rest)
             else:
-                ops.append(_parse_op(head, tokens[1:]))
+                ops.append(_parse_op(head, tuple(tokens[1:])))
         except (ValueError, IndexError, KeyError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     if width is None:
@@ -436,16 +471,26 @@ def parse_circuit(text: str) -> Circuit:
                    output_register=output_register, ideal_output=ideal_output)
 
 
-def _parse_op(name: str, args: list[str]) -> GateOp:
+# Generated and repeated circuits reuse a small set of op lines; sharing one
+# immutable GateOp per distinct line keeps parsed circuits small.  Exceptions
+# are never cached.
+@lru_cache(maxsize=4096)
+def _parse_op(name: str, args: tuple[str, ...]) -> GateOp:
     kind = name.upper()
     if kind not in GATE_KINDS:
         raise ValueError(f"unknown gate {name!r}")
     if kind == "CNOT":
+        _check_count(args, 2, 3)
         variant = PulseVariant(args[2].lower()) if len(args) > 2 else None
         return GateOp("CNOT", (int(args[0]), int(args[1])), variant=variant)
     if kind in _TWO_QUBIT_PULSES:
-        sk1_flag = len(args) > 3 and args[3].lower() == "sk1"
-        return GateOp(kind, (int(args[0]), int(args[1])), angle=float(args[2]), sk1=sk1_flag)
+        _check_count(args, 3, 4)
+        if len(args) > 3 and args[3].lower() != "sk1":
+            raise ValueError(f"unknown pulse flag {args[3]!r}; expected 'sk1'")
+        return GateOp(kind, (int(args[0]), int(args[1])), angle=float(args[2]),
+                      sk1=len(args) > 3)
     if kind in _ROTATION_1Q:
+        _check_count(args, 2)
         return GateOp(kind, (int(args[0]),), angle=float(args[1]))
+    _check_count(args, 1)
     return GateOp(kind, (int(args[0]),))

@@ -4,8 +4,8 @@ Two strategies pick the residual-error orientation of each CNOT:
 
 * measurement cancellation -- conjugate the candidate single-qubit residual
   through the Clifford suffix of the circuit; pick an orientation whose
-  terminal Pauli is diagonal on every measured wire (a phase on basis states,
-  hence invisible to the readout);
+  terminal Pauli leaves the ideal output unchanged up to a phase (diagonal on
+  every measured wire for a basis readout), hence invisible to the readout;
 * conjugate-pair cancellation -- CNOT pairs sharing (control, target) with a
   control-free interior get opposite-sign control-axis residuals, which cancel
   exactly at second order.
@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
-from .circuit import Circuit, op_unitary, with_variants
+import numpy as np
+
+from .circuit import Circuit, op_core, with_variants
 from .gates import ErrorModel, PulseVariant
-from .qmat import NotPauli, PauliString, conjugate_pauli
+from .qmat import ATOL_ORACLE, NotPauli, PauliString, conjugate_pauli, pauli_matrix
 
 
 class _Opaque:
@@ -52,7 +55,7 @@ class ErrorPlacement:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Chosen pulse variant for one CNOT, with the reason it was picked."""
 
@@ -68,7 +71,12 @@ class Assignment:
         return d
 
 
-@dataclass(frozen=True)
+# Plans of different circuits repeat a small set of rows; sharing one
+# immutable Assignment per distinct row keeps stored plans small.
+_assignment = lru_cache(maxsize=4096, typed=True)(Assignment)
+
+
+@dataclass(frozen=True, slots=True)
 class OrientationPlan:
     """Total assignment of pulse variants to the CNOTs of one circuit."""
 
@@ -93,31 +101,47 @@ def trace_orientation(circuit: Circuit, placement: ErrorPlacement):
     support is not Clifford on it.  Ops disjoint from the current support
     commute trivially and are skipped.  Ops are taken at epsilon = 0: the
     pass reasons about ideal propagation of the leading-order residual.
+
+    Each step conjugates only the Pauli's restriction to the op's wires
+    through the op's local core, then splices the result back: the entries
+    of the local product are those of the full-register one, so the
+    tolerance of :func:`conjugate_pauli` means the same thing.
     """
     if not 0 <= placement.op_index < len(circuit.ops):
         raise ValueError(f"op index {placement.op_index} out of range")
     letters = ["I"] * circuit.width
     letters[placement.qubit] = placement.axis
-    pauli = PauliString("".join(letters), complex(placement.sign))
+    phase = complex(placement.sign)
     ideal = ErrorModel(0.0)
     for op in circuit.ops[placement.op_index + 1:]:
-        if not set(op.qubits) & set(pauli.support):
+        local = "".join(letters[q] for q in op.qubits)
+        if set(local) == {"I"}:
             continue
-        result = conjugate_pauli(op_unitary(op, circuit.width, ideal), pauli)
+        result = conjugate_pauli(op_core(op, ideal), PauliString(local))
         if result is NotPauli:
             return Opaque
-        pauli = result
-    return pauli
+        phase *= result.phase
+        for q, ch in zip(op.qubits, result.letters):
+            letters[q] = ch
+    return PauliString("".join(letters), phase)
 
 
-def _harmless_at_readout(pauli: PauliString, output_register) -> bool:
-    """Diagonal (I or Z) on every measured wire; discarded wires are free.
+def _harmless_at_readout(pauli: PauliString, circuit: Circuit) -> bool:
+    """True when the terminal Pauli cannot change the output register's state.
 
-    A terminal Pauli that only multiplies computational-basis states by phases
-    on the output register cannot change the readout, and any unitary confined
-    to traced-out wires leaves the reduced output state untouched.
+    Discarded wires are free: a unitary confined to traced-out wires leaves
+    the reduced output state untouched.  For a basis-label ideal output (or
+    none), the Pauli must be diagonal (I or Z) on every measured wire, so it
+    only multiplies computational-basis states by phases.  For a state-vector
+    ideal output, that vector must be an eigenvector of the Pauli's
+    restriction to the register.
     """
-    return all(pauli.letters[q] in ("I", "Z") for q in output_register)
+    reg = circuit.output_register
+    if circuit.ideal_output is None or isinstance(circuit.ideal_output, str):
+        return all(pauli.letters[q] in ("I", "Z") for q in reg)
+    v = circuit.ideal_output_vector()
+    w = pauli_matrix(PauliString("".join(pauli.letters[q] for q in reg))) @ v
+    return bool(np.abs(w - np.vdot(v, w) * v).max() <= ATOL_ORACLE)
 
 
 # Candidate variants in deterministic preference order: control placements
@@ -137,18 +161,18 @@ def _choose_for_cnot(circuit: Circuit, op_index: int) -> Assignment:
             terminal = trace_orientation(circuit, ErrorPlacement(op_index, qubit, axis))
             if terminal is Opaque:
                 continue
-            if _harmless_at_readout(terminal, circuit.output_register):
-                return Assignment(op_index, op.control, op.target, variant,
-                                  "measurement-cancel")
-    return Assignment(op_index, op.control, op.target, PulseVariant.SK1_XI, "default")
+            if _harmless_at_readout(terminal, circuit):
+                return _assignment(op_index, op.control, op.target, variant,
+                                   "measurement-cancel")
+    return _assignment(op_index, op.control, op.target, PulseVariant.SK1_XI, "default")
 
 
 def choose_measurement_orientation(circuit: Circuit) -> OrientationPlan:
     """Per-CNOT variant choice that makes the traced residual invisible at readout.
 
     Each CNOT tries the available orientations in preference order and keeps
-    the first whose terminal Pauli is diagonal on all output wires; CNOTs with
-    no qualifying orientation (or with Opaque traces) fall back to the default.
+    the first whose terminal Pauli is harmless at readout; CNOTs with no
+    qualifying orientation (or with Opaque traces) fall back to the default.
     """
     assignments = tuple(_choose_for_cnot(circuit, i) for i in circuit.cnot_indices)
     return OrientationPlan(assignments)
@@ -199,7 +223,7 @@ def pair_cancel(circuit: Circuit) -> OrientationPlan:
     for i in circuit.cnot_indices:
         op = circuit.ops[i]
         variant, rationale = chosen.get(i, (PulseVariant.SK1_XI, "default"))
-        assignments.append(Assignment(i, op.control, op.target, variant, rationale))
+        assignments.append(_assignment(i, op.control, op.target, variant, rationale))
     return OrientationPlan(tuple(assignments))
 
 

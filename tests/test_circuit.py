@@ -1,6 +1,7 @@
 """Circuit IR, simulator, fidelity, benchmark builders, and serialization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from errorient.circuit import (GAMMA, Circuit, GateOp, basis_state, build_bv,
                                build_controlled_pauli_rot, build_pea,
                                build_toffoli, circuit_fidelity,
                                circuit_infidelity, circuit_unitary,
-                               format_circuit, ideal_toffoli, op_unitary,
-                               parse_circuit, simulate, with_variants)
+                               format_circuit, ideal_toffoli, op_core,
+                               op_unitary, parse_circuit, simulate,
+                               with_variants)
 from errorient.gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant,
                              gate_fidelity, gate_infidelity)
-from errorient.orient import pair_cancel
+from errorient.orient import pair_cancel, plan_circuit
 from errorient.qmat import PauliString, distance_up_to_phase, kron, pauli_matrix, rot
 
 E0 = ErrorModel(0.0)
@@ -38,6 +40,11 @@ def test_gateop_validation():
         GateOp("H", (0,), variant=PulseVariant.SK1_XI)
     with pytest.raises(ValueError):
         GateOp("H", (0,), sk1=True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("RX", (0,), angle=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GateOp("XX", (0, 1), angle=bad)
 
 
 def test_cnot_defaults_to_naive():
@@ -345,6 +352,41 @@ def test_parse_comments_and_errors():
         parse_circuit("qubits 2\nwarp 0\n")
     with pytest.raises(ValueError, match="qubits"):
         parse_circuit("h 0\n")
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("qubits 2\nh 0 1\n", 2, "expected 1 argument"),
+    ("qubits 2\nxx 0 1 0.5 skl\n", 2, "skl"),
+    ("qubits 2\nh 0\nqubits 3\n", 3, "repeated 'qubits'"),
+    ("qubits 1\nrx 0 nan\n", 2, "finite"),
+], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle"])
+def test_parse_rejects_guesses(text, line, reason):
+    with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
+        parse_circuit(text)
+
+
+def test_parse_shares_identical_ops():
+    c = parse_circuit("qubits 2\nh 0\ncnot 0 1\nh 0\ncnot 0 1\n")
+    assert c.ops[0] is c.ops[2] and c.ops[1] is c.ops[3]
+
+
+def test_op_core_is_read_only():
+    for op in (GateOp("H", (0,)), GateOp("CNOT", (0, 1), variant=PulseVariant.SK1_XI)):
+        core = op_core(op, E0)
+        assert not core.flags.writeable
+        np.testing.assert_array_equal(op_unitary(op, len(op.qubits), E0), core)
+
+
+def test_pickle_roundtrip_circuit_and_plan():
+    # run_sweep with workers > 1 sends circuits to worker processes
+    for c in (build_pea(), parse_circuit(format_circuit(build_bv("1011")))):
+        back = pickle.loads(pickle.dumps(c))
+        assert back.ops == c.ops and back.width == c.width
+        assert back.output_register == c.output_register
+        np.testing.assert_array_equal(back.input_vector(), c.input_vector())
+        np.testing.assert_array_equal(back.ideal_output_vector(), c.ideal_output_vector())
+        plan = plan_circuit(c)
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 def test_format_rejects_vector_states():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errorient.circuit import (Circuit, GateOp, build_bv, build_pea,
                                build_toffoli, circuit_infidelity, op_unitary,
@@ -13,7 +15,8 @@ from errorient.orient import (ErrorPlacement, Opaque, OrientationPlan, apply_pla
                               choose_measurement_orientation,
                               find_conjugate_pairs, pair_cancel, plan_circuit,
                               plan_table, trace_orientation)
-from errorient.qmat import PauliString, distance_up_to_phase, rot
+from errorient.qmat import (NotPauli, PauliString, conjugate_pauli,
+                            distance_up_to_phase, rot)
 
 
 def fit(xs, ys):
@@ -84,6 +87,64 @@ def test_trace_matches_brute_force_on_bv():
         assert trace_orientation(c, placement) == _brute_force_terminal(c, placement, basis)
 
 
+def _dense_trace(circuit, placement, unitaries):
+    """Brute-force trace: the full-register Pauli conjugated op by op through
+    ``unitaries[i] = op_unitary(circuit.ops[i], ...)`` at epsilon = 0."""
+    letters = ["I"] * circuit.width
+    letters[placement.qubit] = placement.axis
+    pauli = PauliString("".join(letters), complex(placement.sign))
+    for i in range(placement.op_index + 1, len(circuit.ops)):
+        if not set(circuit.ops[i].qubits) & set(pauli.support):
+            continue
+        pauli = conjugate_pauli(unitaries[i], pauli)
+        if pauli is NotPauli:
+            return Opaque
+    return pauli
+
+
+_ONE_QUBIT_MENU = (("H", None), ("X", None), ("Z", None), ("GAMMA", None),
+                   ("T", None), ("TDG", None), ("RZ", math.pi / 2),
+                   ("RZ", -math.pi / 2), ("RX", math.pi / 2), ("RY", math.pi))
+
+
+@st.composite
+def clifford_t_circuits(draw):
+    """Clifford+T circuits of 3-6 qubits: quarter-turn and T single-qubit
+    gates, CNOTs of every variant, and XX/YY quarter-turn pulses."""
+    width = draw(st.integers(3, 6))
+    wires = st.integers(0, width - 1)
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        shape = draw(st.sampled_from(("1q", "1q", "cnot", "pulse")))
+        if shape == "1q":
+            kind, angle = draw(st.sampled_from(_ONE_QUBIT_MENU))
+            ops.append(GateOp(kind, (draw(wires),), angle=angle))
+            continue
+        pair = tuple(draw(st.lists(wires, min_size=2, max_size=2, unique=True)))
+        if shape == "cnot":
+            ops.append(GateOp("CNOT", pair, variant=draw(st.sampled_from(PulseVariant))))
+        else:
+            ops.append(GateOp(draw(st.sampled_from(("XX", "YY"))), pair,
+                              angle=math.pi / 2, sk1=draw(st.booleans())))
+    return Circuit(width=width, ops=tuple(ops))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(clifford_t_circuits())
+def test_trace_matches_dense_conjugation(circuit):
+    # every (op index, wire, axis) placement, signs alternating; Opaque
+    # results must agree too
+    ideal = ErrorModel(0.0)
+    unitaries = [op_unitary(op, circuit.width, ideal) for op in circuit.ops]
+    for i in range(len(circuit.ops)):
+        for q in range(circuit.width):
+            for k, axis in enumerate("XYZ"):
+                placement = ErrorPlacement(i, q, axis, sign=(-1) ** (i + q + k))
+                want = _dense_trace(circuit, placement, unitaries)
+                got = trace_orientation(circuit, placement)
+                assert got is want if want is Opaque else got == want, placement
+
+
 # ---------------------------------------------------------------------------
 # choose_measurement_orientation
 # ---------------------------------------------------------------------------
@@ -117,6 +178,40 @@ def test_forced_control_y_terminal_not_diagonal():
     assert abs(fit(eps, ys_yi) - 4.0) < 0.3
     ys_xi = [circuit_infidelity(xi, ErrorModel(float(e))) for e in eps[3:]]
     assert abs(fit(eps[3:], ys_xi) - 6.0) < 0.3
+
+
+def _cnot_then_h(prep, ideal_output):
+    """``prep``, a CNOT 0->1, then H on wire 0, the only measured wire."""
+    ops = tuple(prep) + (GateOp("CNOT", (0, 1)), GateOp("H", (0,)))
+    return Circuit(width=2, ops=ops, output_register=(0,), ideal_output=ideal_output)
+
+
+def test_vector_readout_rejects_diagonal_but_visible_terminal():
+    # ideal output |+> on wire 0: the control-X residual ends as Z there, which
+    # the I/Z rule for basis readouts would accept, yet it flips |+> to |->
+    c = _cnot_then_h((), np.array([1, 1]) / math.sqrt(2))
+    (a,) = plan_circuit(c).assignments
+    assert (a.variant, a.rationale) == (PulseVariant.SK1_IY, "measurement-cancel")
+    eps = np.geomspace(1e-3, 1e-2, 7)
+    xi = with_variants(c, {0: PulseVariant.SK1_XI})
+    assert abs(fit(eps, [circuit_infidelity(xi, ErrorModel(float(e))) for e in eps]) - 4) < 0.1
+    # the target-Y residual stays on the discarded wire: no visible error at
+    # all, down to rounding
+    chosen = apply_plan(c, plan_circuit(c))
+    assert max(circuit_infidelity(chosen, ErrorModel(float(e))) for e in eps) < 1e-28
+
+
+def test_vector_readout_choice_is_sixth_order():
+    # the ideal output (|0> - i|1>) rotated by H is an eigenvector of the
+    # control-Y residual's terminal, and the circuit error is order eps^6
+    prep = (GateOp("H", (1,)), GateOp("RX", (0,), angle=math.pi / 2))
+    c = _cnot_then_h(prep, np.array([1 - 1j, 1 + 1j]) / 2)
+    (a,) = plan_circuit(c).assignments
+    assert (a.variant, a.rationale) == (PulseVariant.SK1_YI, "measurement-cancel")
+    eps = np.geomspace(1e-3, 1e-2, 7)
+    assert circuit_infidelity(c, ErrorModel(0.0)) < 1e-28
+    chosen = apply_plan(c, plan_circuit(c))
+    assert fit(eps, [circuit_infidelity(chosen, ErrorModel(float(e))) for e in eps]) >= 5.9
 
 
 def test_opaque_paths_fall_back_to_default():
