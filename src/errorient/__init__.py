@@ -13,15 +13,15 @@ from .circuit import (Circuit, GateOp, basis_state, build_bv,
                       format_circuit, ideal_toffoli, op_core, op_unitary,
                       parse_circuit, simulate, with_variants)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
-                    cnot_variant, gate_fidelity, gate_infidelity, ideal_cnot,
-                    noisy_rot, sk1)
+                    cnot_variant, gate_fidelity, gate_infidelity, noisy_rot,
+                    sk1)
 from .orient import (Assignment, ErrorPlacement, Opaque, OrientationPlan,
                      apply_plan, choose_measurement_orientation,
                      find_conjugate_pairs, pair_cancel, plan_circuit,
                      trace_orientation)
 from .qmat import (CapacityError, NotPauli, PauliString, conjugate_pauli,
-                   distance_up_to_phase, embed, is_clifford, is_unitary, kron,
-                   pauli_matrix, rot, rot_blend, third_axis)
+                   distance_up_to_phase, embed, pauli_matrix, rot, rot_blend,
+                   third_axis)
 from .sweep import (CANONICAL_WINDOW, SweepConfig, SweepRecord, emit_csv,
                     fit_slope, run_sweep)
 

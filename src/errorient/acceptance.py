@@ -14,15 +14,14 @@ from itertools import combinations, product
 import numpy as np
 
 from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
-                      circuit_fidelity, circuit_infidelity, op_unitary, simulate,
-                      with_variants)
+                      circuit_fidelity, circuit_infidelity, op_unitary, simulate)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
                     cnot_variant, gate_infidelity, sk1)
 from .orient import ErrorPlacement, find_conjugate_pairs, trace_orientation
 from .qmat import (NotPauli, PauliString, distance_up_to_phase, pauli_matrix, rot,
                    third_axis)
-from .sweep import (CANONICAL_WINDOW, SweepConfig, _strategy_assignment, fit_slope,
-                    resolve_circuit, run_sweep)
+from .sweep import (CANONICAL_WINDOW, SweepConfig, fit_slope, resolve_circuit,
+                    run_sweep, strategy_circuit)
 
 GRID = np.geomspace(*CANONICAL_WINDOW, 25)
 
@@ -166,10 +165,8 @@ def check_bv_orientation() -> CriterionResult:
     slope_yi = fit_slope(records, "circuit_infidelity:sk1_yi")
     bv = resolve_circuit(cfg)
     err = ErrorModel(3e-3)
-    at_xi = circuit_infidelity(
-        with_variants(bv, _strategy_assignment(bv, "sk1_xi")), err)
-    at_yi = circuit_infidelity(
-        with_variants(bv, _strategy_assignment(bv, "sk1_yi")), err)
+    at_xi = circuit_infidelity(strategy_circuit(bv, "sk1_xi"), err)
+    at_yi = circuit_infidelity(strategy_circuit(bv, "sk1_yi"), err)
     ratio = at_yi / at_xi
     ok = (abs(slope_xi - 6.0) <= 0.3 and abs(slope_yi - 4.0) <= 0.3 and ratio >= 100)
     return CriterionResult(

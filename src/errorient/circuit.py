@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qmat
 from .gates import ErrorModel, PulseVariant, _cnot_core, sk1
-from .qmat import MAX_QUBITS, PauliString, embed, rot
+from .qmat import MAX_QUBITS, PauliString, apply_local, embed, rot
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -67,6 +67,8 @@ class GateOp:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if any(q < 0 for q in self.qubits):
+            raise ValueError(f"{kind} qubits must be nonnegative, got {self.qubits}")
         arity = 2 if kind == "CNOT" or kind in _TWO_QUBIT_PULSES else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{kind} takes {arity} qubit(s), got {self.qubits}")
@@ -113,6 +115,8 @@ def _as_state(value, nbits: int, what: str) -> np.ndarray:
     vec = np.asarray(value, dtype=complex).reshape(-1)
     if vec.shape != (dim,):
         raise ValueError(f"{what} vector has dimension {vec.shape[0]}, expected {dim}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} vector has non-finite entries")
     if abs(np.linalg.norm(vec) - 1) > 1e-12:
         raise ValueError(f"{what} vector is not normalized")
     return vec
@@ -200,20 +204,21 @@ def op_unitary(op: GateOp, width: int, err: ErrorModel) -> np.ndarray:
     return embed(op_core(op, err), op.qubits, width)
 
 
+def _evolve(circuit: Circuit, err: ErrorModel, columns: np.ndarray) -> np.ndarray:
+    """Apply every op's local core, in order, to a ``(2^width, R)`` block of states."""
+    for op in circuit.ops:
+        columns = apply_local(columns, op_core(op, err), op.qubits)
+    return columns
+
+
 def simulate(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> np.ndarray:
     """Final state vector: the ordered product of op unitaries applied to the input."""
-    psi = circuit.input_vector()
-    for op in circuit.ops:
-        psi = op_unitary(op, circuit.width, err) @ psi
-    return psi
+    return _evolve(circuit, err, circuit.input_vector()[:, None])[:, 0]
 
 
 def circuit_unitary(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> np.ndarray:
     """The circuit as a single unitary (ops composed in order)."""
-    u = np.eye(2 ** circuit.width, dtype=complex)
-    for op in circuit.ops:
-        u = op_unitary(op, circuit.width, err) @ u
-    return u
+    return _evolve(circuit, err, np.eye(2 ** circuit.width, dtype=complex))
 
 
 def _output_amplitudes(circuit: Circuit, err: ErrorModel):

@@ -150,13 +150,6 @@ def cnot_variant(variant: PulseVariant, control: int, target: int,
     return embed(_cnot_core(variant, err.epsilon), [control, target], n)
 
 
-def ideal_cnot(control: int, target: int, n: int) -> np.ndarray:
-    """Textbook CNOT embedded on the given wires."""
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
-    return embed(TEXTBOOK_CNOT, [control, target], n)
-
-
 def gate_fidelity(ideal: np.ndarray, applied: np.ndarray) -> float:
     """Entanglement fidelity ``|tr(ideal^dag applied) / dim|^2`` in [0, 1].
 

@@ -143,19 +143,6 @@ def third_axis(a1: PauliString, a2: PauliString) -> PauliString:
     return PauliString(prod.letters, prod.phase * -1j)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with operand ``a`` on the lower-index (leftmost) qubits."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kron operands must be square matrices")
-    dim = a.shape[0] * b.shape[0]
-    if dim > 2 ** MAX_QUBITS:
-        raise CapacityError(f"result dimension {dim} exceeds 2^{MAX_QUBITS}")
-    return np.kron(a, b)
-
-
 def rot(generator: PauliString, theta: float) -> np.ndarray:
     """``exp(-i theta/2 G)`` for a Hermitian Pauli-string generator.
 
@@ -237,25 +224,6 @@ def conjugate_pauli(g: np.ndarray, p: PauliString, atol: float = ATOL_ORACLE):
     return _decode_signed_pauli(m, atol)
 
 
-def is_clifford(g: np.ndarray, atol: float = ATOL_ORACLE) -> bool:
-    """Decide Clifford membership by conjugating every single-qubit X/Z generator.
-
-    No gate whitelist: an operator is Clifford exactly when all generator
-    conjugations stay in the signed Pauli group.
-    """
-    g = np.asarray(g, dtype=complex)
-    dim = g.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 2 ** n:
-        raise ValueError("operator dimension must be a power of two")
-    for k in range(n):
-        for ax in "XZ":
-            p = PauliString("I" * k + ax + "I" * (n - k - 1))
-            if conjugate_pauli(g, p, atol) is NotPauli:
-                return False
-    return True
-
-
 def distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """``min_c max_ij |a_ij - c b_ij|`` over unit-modulus phases ``c``.
 
@@ -290,14 +258,6 @@ def distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     return min(best, float(vals[i0]))
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    dim = u.shape[0]
-    return bool(np.abs(u.conj().T @ u - np.eye(dim)).max() < atol)
-
-
 def embed(u: np.ndarray, qubits, n: int) -> np.ndarray:
     """Lift a k-qubit operator onto the given wires of an n-qubit register.
 
@@ -315,11 +275,21 @@ def embed(u: np.ndarray, qubits, n: int) -> np.ndarray:
     k = len(qubits)
     if u.shape != (2 ** k, 2 ** k):
         raise ValueError(f"operator shape {u.shape} does not match {k} wires")
-    if k == n and qubits == list(range(n)):
-        return u.copy()
-    order = qubits + [q for q in range(n) if q not in qubits]
-    big = np.kron(u, np.eye(2 ** (n - k), dtype=complex))
-    inv = np.argsort(order)
-    t = big.reshape((2,) * (2 * n))
-    axes = list(inv) + [n + int(a) for a in inv]
-    return t.transpose(axes).reshape(2 ** n, 2 ** n)
+    return apply_local(np.eye(2 ** n, dtype=complex), u, qubits)
+
+
+def apply_local(columns: np.ndarray, u: np.ndarray, wires) -> np.ndarray:
+    """``embed(u, wires, n) @ columns`` for a ``(2^n, R)`` block, without the embedding.
+
+    The wire axes of the column states are moved to the front, contracted
+    with the 2^k x 2^k matrix ``u`` and moved back, with qubit 0 as the most
+    significant bit of a row index.  This is the one place that decides how
+    a local matrix lands on register wires.  Wires are not validated: they
+    must be distinct and in ``range(n)``.
+    """
+    dim, r = columns.shape
+    n = dim.bit_length() - 1
+    k = len(wires)
+    t = np.moveaxis(columns.reshape((2,) * n + (r,)), wires, range(k))
+    t = (u @ t.reshape(2 ** k, -1)).reshape(t.shape)
+    return np.moveaxis(t, range(k), wires).reshape(dim, r)

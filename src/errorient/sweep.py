@@ -120,11 +120,12 @@ def resolve_circuit(cfg: SweepConfig) -> Circuit:
     return circuit
 
 
-def _strategy_assignment(circuit: Circuit, strategy: str) -> dict[int, PulseVariant]:
+def strategy_circuit(circuit: Circuit, strategy: str) -> Circuit:
+    """The circuit with every CNOT's pulse variant chosen by a sweep strategy."""
     if strategy == "sk1_pair":
-        return pair_cancel(circuit).variant_map()
+        return with_variants(circuit, pair_cancel(circuit).variant_map())
     variant = PulseVariant(strategy)
-    return {i: variant for i in circuit.cnot_indices}
+    return with_variants(circuit, {i: variant for i in circuit.cnot_indices})
 
 
 def _underlying_gate_variant(strategy: str) -> PulseVariant:
@@ -134,19 +135,18 @@ def _underlying_gate_variant(strategy: str) -> PulseVariant:
 
 
 def _evaluate_point(args) -> SweepRecord:
-    circuit, is_gate_level, strategies, epsilon = args
+    assigned, is_gate_level, epsilon = args
     err = ErrorModel(epsilon)
     gate_vals: dict[str, float] = {}
     circ_vals: dict[str, float] = {}
-    for strategy in strategies:
+    for strategy, circuit in assigned.items():
         core = cnot_variant(_underlying_gate_variant(strategy), 0, 1, err, 2)
         gate_vals[strategy] = gate_infidelity(TEXTBOOK_CNOT, core)
-        assigned = with_variants(circuit, _strategy_assignment(circuit, strategy))
         if is_gate_level:
             circ_vals[strategy] = gate_infidelity(ideal_toffoli(),
-                                                  circuit_unitary(assigned, err))
+                                                  circuit_unitary(circuit, err))
         else:
-            circ_vals[strategy] = circuit_infidelity(assigned, err)
+            circ_vals[strategy] = circuit_infidelity(circuit, err)
     return SweepRecord(epsilon=float(epsilon), gate_infidelity=gate_vals,
                        circuit_infidelity=circ_vals)
 
@@ -154,13 +154,15 @@ def _evaluate_point(args) -> SweepRecord:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point; deterministic given the config.
 
-    Grid points are independent; with ``workers > 1`` they are evaluated by a
-    process pool and merged in epsilon order, so the output does not depend on
-    scheduling.
+    Each strategy's circuit is planned once, since no plan depends on
+    epsilon.  Grid points are independent; with ``workers > 1`` they are
+    evaluated by a process pool and merged in epsilon order, so the output
+    does not depend on scheduling.
     """
     circuit = resolve_circuit(cfg)
     is_gate_level = cfg.circuit == "toffoli"
-    tasks = [(circuit, is_gate_level, cfg.variants, eps) for eps in cfg.grid()]
+    assigned = {s: strategy_circuit(circuit, s) for s in cfg.variants}
+    tasks = [(assigned, is_gate_level, eps) for eps in cfg.grid()]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_evaluate_point, tasks))

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from errorient.circuit import (GAMMA, Circuit, GateOp, basis_state, build_bv,
                                build_controlled_pauli_rot, build_pea,
@@ -16,7 +18,8 @@ from errorient.circuit import (GAMMA, Circuit, GateOp, basis_state, build_bv,
 from errorient.gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant,
                              gate_fidelity, gate_infidelity)
 from errorient.orient import pair_cancel, plan_circuit
-from errorient.qmat import PauliString, distance_up_to_phase, kron, pauli_matrix, rot
+from errorient.qmat import PauliString, distance_up_to_phase, pauli_matrix, rot
+from support import circuits
 
 E0 = ErrorModel(0.0)
 
@@ -40,6 +43,8 @@ def test_gateop_validation():
         GateOp("H", (0,), variant=PulseVariant.SK1_XI)
     with pytest.raises(ValueError):
         GateOp("H", (0,), sk1=True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GateOp("H", (-1,))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             GateOp("RX", (0,), angle=bad)
@@ -67,6 +72,13 @@ def test_circuit_validation():
                 ideal_output=np.array([1.0, 1.0]))  # unnormalized
     with pytest.raises(ValueError):
         Circuit(width=1, ops=(), ideal_output="0")  # no register
+
+
+@pytest.mark.parametrize("field", ["input_state", "ideal_output"])
+def test_circuit_rejects_non_finite_states(field):
+    # a NaN passes a norm tolerance test, since every comparison with it is false
+    with pytest.raises(ValueError, match="non-finite"):
+        Circuit(width=1, ops=(), output_register=(0,), **{field: [math.nan, 0]})
 
 
 def test_with_variants():
@@ -100,6 +112,44 @@ def test_norm_preserved():
         for eps in rng.uniform(-0.2, 0.2, size=5):
             psi = simulate(c, ErrorModel(float(eps)))
             assert abs(np.linalg.norm(psi) - 1) < 1e-12
+
+
+_EVERY_KIND = parse_circuit("""qubits 5
+input 01101
+h 0
+x 1
+z 2
+t 3
+tdg 4
+gamma 0
+rx 1 0.7
+ry 2 -2.1
+rz 3 4.4
+cnot 3 0
+cnot 1 4 sk1_xi
+cnot 4 2 sk1_mxi
+cnot 0 3 sk1_yi
+cnot 2 1 sk1_iy
+xx 4 1 1.3
+yy 0 3 5.9
+xx 2 0 0.4 sk1
+yy 3 1 11.2 sk1
+""")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(
+    lambda vector: circuits(min_width=1, clifford_t=False, vector_input=vector)))
+@example(_EVERY_KIND)
+def test_simulator_matches_dense_product(circuit):
+    # reference: the ordered product of full-register op matrices
+    for err in (E0, ErrorModel(0.03), ErrorModel(-0.3)):
+        dense = np.eye(2 ** circuit.width, dtype=complex)
+        for op in circuit.ops:
+            dense = op_unitary(op, circuit.width, err) @ dense
+        np.testing.assert_allclose(circuit_unitary(circuit, err), dense, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(simulate(circuit, err), dense @ circuit.input_vector(),
+                                   rtol=0, atol=1e-12)
 
 
 def test_hadamard_worked_example():
@@ -301,8 +351,8 @@ def test_pea_all_cnots_paired():
 def test_pea_input_is_ground_state():
     c = build_pea()
     vec = c.input_vector()
-    sys_op = kron(np.eye(4, dtype=complex),
-                  pauli_matrix(PauliString("XX")) + pauli_matrix(PauliString("YY")))
+    sys_op = np.kron(np.eye(4, dtype=complex),
+                     pauli_matrix(PauliString("XX")) + pauli_matrix(PauliString("YY")))
     np.testing.assert_allclose(sys_op @ vec, -2 * vec, atol=1e-12)
 
 
@@ -359,7 +409,8 @@ def test_parse_comments_and_errors():
     ("qubits 2\nxx 0 1 0.5 skl\n", 2, "skl"),
     ("qubits 2\nh 0\nqubits 3\n", 3, "repeated 'qubits'"),
     ("qubits 1\nrx 0 nan\n", 2, "finite"),
-], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle"])
+    ("qubits 2\noutput 0 1 = 11\nx 0\ncnot 0 -1\n", 4, "nonnegative"),
+], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle", "negative-wire"])
 def test_parse_rejects_guesses(text, line, reason):
     with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
         parse_circuit(text)

@@ -7,9 +7,10 @@ import pytest
 
 from errorient.gates import (EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant,
                              Sk1Params, cnot_variant, gate_fidelity,
-                             gate_infidelity, ideal_cnot, noisy_rot, sk1)
-from errorient.qmat import (PauliString, distance_up_to_phase, embed, is_unitary,
-                            pauli_matrix, rot, third_axis)
+                             gate_infidelity, noisy_rot, sk1)
+from errorient.qmat import (PauliString, distance_up_to_phase, pauli_matrix, rot,
+                            third_axis)
+from support import is_unitary
 
 XX = PauliString("XX")
 EPS_GRID = np.geomspace(1e-3, 1e-2, 7)
@@ -235,9 +236,3 @@ def test_gate_fidelity_hadamard_x_error():
 def test_gate_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
-
-
-def test_ideal_cnot_embedding():
-    got = ideal_cnot(2, 0, 3)
-    expected = embed(TEXTBOOK_CNOT, [2, 0], 3)
-    np.testing.assert_allclose(got, expected)

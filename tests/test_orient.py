@@ -1,6 +1,7 @@
 """Error tracing, measurement-orientation choice, and conjugate-pair detection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from errorient.circuit import (Circuit, GateOp, build_bv, build_pea,
                                build_toffoli, circuit_infidelity, op_unitary,
-                               with_variants)
+                               simulate, with_variants)
 from errorient.gates import ErrorModel, PulseVariant, cnot_variant
 from errorient.orient import (ErrorPlacement, Opaque, OrientationPlan, apply_plan,
                               choose_measurement_orientation,
@@ -17,6 +18,8 @@ from errorient.orient import (ErrorPlacement, Opaque, OrientationPlan, apply_pla
                               plan_table, trace_orientation)
 from errorient.qmat import (NotPauli, PauliString, conjugate_pauli,
                             distance_up_to_phase, rot)
+from errorient.sweep import FIT_FLOOR
+from support import circuits
 
 
 def fit(xs, ys):
@@ -102,35 +105,8 @@ def _dense_trace(circuit, placement, unitaries):
     return pauli
 
 
-_ONE_QUBIT_MENU = (("H", None), ("X", None), ("Z", None), ("GAMMA", None),
-                   ("T", None), ("TDG", None), ("RZ", math.pi / 2),
-                   ("RZ", -math.pi / 2), ("RX", math.pi / 2), ("RY", math.pi))
-
-
-@st.composite
-def clifford_t_circuits(draw):
-    """Clifford+T circuits of 3-6 qubits: quarter-turn and T single-qubit
-    gates, CNOTs of every variant, and XX/YY quarter-turn pulses."""
-    width = draw(st.integers(3, 6))
-    wires = st.integers(0, width - 1)
-    ops = []
-    for _ in range(draw(st.integers(1, 10))):
-        shape = draw(st.sampled_from(("1q", "1q", "cnot", "pulse")))
-        if shape == "1q":
-            kind, angle = draw(st.sampled_from(_ONE_QUBIT_MENU))
-            ops.append(GateOp(kind, (draw(wires),), angle=angle))
-            continue
-        pair = tuple(draw(st.lists(wires, min_size=2, max_size=2, unique=True)))
-        if shape == "cnot":
-            ops.append(GateOp("CNOT", pair, variant=draw(st.sampled_from(PulseVariant))))
-        else:
-            ops.append(GateOp(draw(st.sampled_from(("XX", "YY"))), pair,
-                              angle=math.pi / 2, sk1=draw(st.booleans())))
-    return Circuit(width=width, ops=tuple(ops))
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(clifford_t_circuits())
+@given(circuits())
 def test_trace_matches_dense_conjugation(circuit):
     # every (op index, wire, axis) placement, signs alternating; Opaque
     # results must agree too
@@ -327,6 +303,95 @@ def test_unpaired_variants_do_not_cancel():
         gate = cnot_variant(PulseVariant.SK1_XI, 0, 1, err, 2)
         dists.append(distance_up_to_phase(gate @ interior @ gate, ideal))
     assert abs(fit(eps_grid, dists) - 2.0) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# label soundness by simulation
+# ---------------------------------------------------------------------------
+
+E0 = ErrorModel(0.0)
+_SELF_INVERSE = ("H", "X", "Z", "GAMMA", "CNOT")
+
+
+def _inverse(op):
+    """An op undoing ``op`` at epsilon = 0 (raw pulses undo corrected ones)."""
+    if op.kind in _SELF_INVERSE:
+        return GateOp(op.kind, op.qubits)
+    if op.kind in ("T", "TDG"):
+        return GateOp("TDG" if op.kind == "T" else "T", op.qubits)
+    return GateOp(op.kind, op.qubits, angle=-op.angle)
+
+
+@st.composite
+def basis_readout_circuits(draw):
+    """Compute-uncompute circuits read out as a basis label on some wires."""
+    base = draw(circuits())
+    label = draw(st.text("01", min_size=base.width, max_size=base.width))
+    reg = tuple(sorted(draw(st.sets(st.integers(0, base.width - 1), min_size=1))))
+    ops = base.ops + tuple(_inverse(op) for op in reversed(base.ops))
+    return Circuit(width=base.width, ops=ops, input_state=label, output_register=reg,
+                   ideal_output="".join(label[q] for q in reg))
+
+
+@st.composite
+def vector_readout_circuits(draw):
+    """Circuits read out on the full register against their ideal final state.
+
+    Half of them wrap a generated circuit in a CNOT pair controlled by a new
+    wire 0 prepared by H, a conjugate pair with a nontrivial interior.
+    """
+    c = draw(circuits(min_width=2, max_width=5))
+    if draw(st.booleans()):
+        target = draw(st.integers(1, c.width))
+        shifted = tuple(replace(op, qubits=tuple(q + 1 for q in op.qubits)) for op in c.ops)
+        pair = GateOp("CNOT", (0, target))
+        c = Circuit(width=c.width + 1, ops=(GateOp("H", (0,)), pair) + shifted + (pair,))
+    return replace(c, output_register=tuple(range(c.width)), ideal_output=simulate(c))
+
+
+def _infidelity_with_noisy(circuit, noisy, err):
+    """Circuit infidelity with only the ops at indices ``noisy`` at ``err``.
+
+    Ideal and noisy segments are chained through :func:`simulate`, each
+    starting from the state the previous one left.
+    """
+    state, start = circuit.input_vector(), 0
+    for i in sorted(noisy):
+        state = simulate(Circuit(circuit.width, circuit.ops[start:i], state), E0)
+        state = simulate(Circuit(circuit.width, circuit.ops[i:i + 1], state), err)
+        start = i + 1
+    final = Circuit(circuit.width, circuit.ops[start:], state,
+                    circuit.output_register, circuit.ideal_output)
+    return circuit_infidelity(final, E0)
+
+
+def _assert_labels_sound(circuit):
+    # a labelled CNOT, or both CNOTs of a labelled pair, alone at epsilon
+    # must cost the readout order eps^6
+    plan = plan_circuit(circuit)
+    chosen = apply_plan(circuit, plan)
+    pair_of = {i: pair for pair in find_conjugate_pairs(circuit) for i in pair}
+    cases = {(a.op_index,) if a.rationale == "measurement-cancel" else pair_of[a.op_index]
+             for a in plan.assignments if a.rationale != "default"}
+    eps = np.geomspace(1e-2, 1e-1, 6)
+    for noisy in cases:
+        vals = np.array([_infidelity_with_noisy(chosen, noisy, ErrorModel(float(e)))
+                         for e in eps])
+        kept = vals > FIT_FLOOR
+        if kept.sum() >= 3:
+            assert fit(eps[kept], vals[kept]) >= 5.5, (noisy, vals)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(basis_readout_circuits())
+def test_labels_sound_for_basis_readouts(circuit):
+    _assert_labels_sound(circuit)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(vector_readout_circuits())
+def test_labels_sound_for_vector_readouts(circuit):
+    _assert_labels_sound(circuit)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from errorient.qmat import (ATOL_ORACLE, ATOL_STRUCT, CapacityError, NotPauli,
-                            PauliString, conjugate_pauli, distance_up_to_phase,
-                            embed, is_clifford, is_unitary, kron, pauli_matrix,
-                            rot, rot_blend, third_axis)
+                            PauliString, apply_local, conjugate_pauli,
+                            distance_up_to_phase, embed, pauli_matrix, rot,
+                            rot_blend, third_axis)
+from support import is_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,31 +30,26 @@ def random_pauli(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# kron / pauli_matrix
+# Kronecker order of the register / pauli_matrix
 # ---------------------------------------------------------------------------
 
 def test_kron_identity():
-    np.testing.assert_allclose(kron(I2, I2), np.eye(4))
+    for wires in ([0], [2], [1, 0], [0, 1, 2]):
+        np.testing.assert_allclose(embed(np.eye(2 ** len(wires)), wires, 3),
+                                   np.kron(np.kron(I2, I2), I2))
 
 
 def test_kron_xx_antidiagonal():
     expected = np.fliplr(np.eye(4))
-    np.testing.assert_allclose(kron(X, X), expected)
+    np.testing.assert_allclose(embed(X, [0], 2) @ embed(X, [1], 2), expected)
+    np.testing.assert_allclose(np.kron(X, X), expected)
 
 
 def test_kron_zz_diagonal():
-    np.testing.assert_allclose(kron(Z, Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_capacity():
-    m32 = np.eye(32, dtype=complex)
-    with pytest.raises(CapacityError):
-        kron(m32, np.eye(4, dtype=complex))
-
-
-def test_kron_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        kron(np.ones((2, 3)), I2)
+    # qubit 0 is the leftmost factor: Z on it flips the sign of the upper half
+    np.testing.assert_allclose(embed(Z, [0], 2), np.kron(Z, I2))
+    np.testing.assert_allclose(embed(Z, [0], 2) @ embed(Z, [1], 2),
+                               np.diag([1, -1, -1, 1]))
 
 
 def test_pauli_matrix_y():
@@ -216,7 +212,7 @@ def test_returned_unitaries_are_unitary():
 
 
 # ---------------------------------------------------------------------------
-# conjugate_pauli / is_clifford
+# conjugate_pauli
 # ---------------------------------------------------------------------------
 
 def test_conjugate_hadamard_x_to_z():
@@ -259,14 +255,6 @@ def test_conjugate_pauli_clifford_generators(gate, n):
 def test_conjugate_tracks_negative_phase():
     # H Y H = -Y
     assert conjugate_pauli(H, PauliString("Y")) == PauliString("Y", -1)
-
-
-def test_is_clifford():
-    assert is_clifford(H)
-    assert is_clifford(S)
-    assert is_clifford(CNOT)
-    assert not is_clifford(T)
-    assert not is_clifford(rot(PauliString("XX"), 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +328,34 @@ def test_embed_preserves_unitarity():
     assert is_unitary(embed(q, [2, 0], 3))
 
 
+def test_apply_local_matches_bitwise_oracle():
+    # the register matrix entry by entry: <i|U|j> is the local entry between
+    # the wire bits of i and j when i and j agree off the wires, else 0
+    rng = np.random.default_rng(17)
+    for n, wires in ((1, [0]), (3, [2]), (3, [2, 0]), (4, [1, 3]), (6, [5, 0]), (6, [2])):
+        rest = [q for q in range(n) if q not in wires]
+
+        def bits(i, qs):
+            return sum(((i >> (n - 1 - q)) & 1) << (len(qs) - 1 - m) for m, q in enumerate(qs))
+
+        dim, local = 2 ** n, 2 ** len(wires)
+        u = rng.normal(size=(local, local)) + 1j * rng.normal(size=(local, local))
+        full = np.zeros((dim, dim), dtype=complex)
+        for i in range(dim):
+            for j in range(dim):
+                if bits(i, rest) == bits(j, rest):
+                    full[i, j] = u[bits(i, wires), bits(j, wires)]
+        cols = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        np.testing.assert_allclose(apply_local(cols, u, wires), full @ cols, atol=1e-12)
+        np.testing.assert_allclose(embed(u, wires, n), full)
+
+
 def test_embed_validates():
     with pytest.raises(ValueError):
         embed(X, [0, 0], 2)
     with pytest.raises(ValueError):
         embed(X, [3], 2)
+    with pytest.raises(ValueError):
+        embed(np.ones((2, 3)), [0], 2)
     with pytest.raises(CapacityError):
         embed(X, [0], 7)
