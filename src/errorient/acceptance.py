@@ -52,6 +52,17 @@ def _series(records, series):
     return np.array([r.value(series) for r in records])
 
 
+def _gate_curve(variant: PulseVariant) -> np.ndarray:
+    """Gate infidelity of one CNOT variant at every point of ``GRID``."""
+    return np.array([gate_infidelity(TEXTBOOK_CNOT,
+                                     cnot_variant(variant, 0, 1, ErrorModel(float(e)), 2))
+                     for e in GRID])
+
+
+def _gate_slope(variant: PulseVariant) -> float:
+    return float(np.polyfit(np.log(GRID), np.log(_gate_curve(variant)), 1)[0])
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: the single-qubit worked example.  An error rotation that
 # commutes with the measurement basis leaves the circuit fidelity at exactly 1;
@@ -124,13 +135,8 @@ def check_sk1_residual() -> CriterionResult:
 def check_fidelity_equality() -> CriterionResult:
     variants = (PulseVariant.SK1_XI, PulseVariant.SK1_YI,
                 PulseVariant.SK1_IY, PulseVariant.SK1_MXI)
-    worst = 0.0
-    for eps in GRID:
-        infids = {v: gate_infidelity(TEXTBOOK_CNOT,
-                                     cnot_variant(v, 0, 1, ErrorModel(float(eps)), 2))
-                  for v in variants}
-        for a, b in combinations(variants, 2):
-            worst = max(worst, abs(infids[a] - infids[b]))
+    worst = max(np.abs(_gate_curve(a) - _gate_curve(b)).max()
+                for a, b in combinations(variants, 2))
     return CriterionResult("sk1-fidelity-equality", worst < 1e-12,
                            f"max pairwise gate-infidelity gap over the grid: {worst:.2e}")
 
@@ -140,14 +146,9 @@ def check_fidelity_equality() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def check_gate_scaling() -> CriterionResult:
-    logs = np.log(GRID)
-    slopes = {}
-    for variant in (PulseVariant.NAIVE, PulseVariant.SK1_XI, PulseVariant.SK1_YI,
-                    PulseVariant.SK1_IY, PulseVariant.SK1_MXI):
-        vals = [gate_infidelity(TEXTBOOK_CNOT,
-                                cnot_variant(variant, 0, 1, ErrorModel(float(e)), 2))
-                for e in GRID]
-        slopes[variant.value] = float(np.polyfit(logs, np.log(vals), 1)[0])
+    slopes = {v.value: _gate_slope(v)
+              for v in (PulseVariant.NAIVE, PulseVariant.SK1_XI, PulseVariant.SK1_YI,
+                        PulseVariant.SK1_IY, PulseVariant.SK1_MXI)}
     ok = abs(slopes["naive"] - 2.0) <= 0.1 and all(
         abs(slopes[v] - 4.0) <= 0.1 for v in slopes if v != "naive")
     detail = ", ".join(f"{k}={v:.3f}" for k, v in slopes.items())
@@ -286,12 +287,7 @@ def check_pass_soundness() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def check_recorded_exponents() -> CriterionResult:
-    logs = np.log(GRID)
-    gate_vals = [gate_infidelity(TEXTBOOK_CNOT,
-                                 cnot_variant(PulseVariant.SK1_XI, 0, 1,
-                                              ErrorModel(float(e)), 2))
-                 for e in GRID]
-    gate_slope = float(np.polyfit(logs, np.log(gate_vals), 1)[0])
+    gate_slope = _gate_slope(PulseVariant.SK1_XI)
     _, records = _sweep("pea", ("sk1_pair", "sk1_xi"))
     xi_slope = fit_slope(records, "circuit_infidelity:sk1_xi")
     ok = abs(gate_slope - 4.0) <= 0.1 and abs(xi_slope - 4.0) <= 0.5

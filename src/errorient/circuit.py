@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qmat
-from .gates import ErrorModel, PulseVariant, _cnot_core, sk1
+from .gates import ErrorModel, PulseVariant, _cnot_core, noisy_rot, sk1
 from .qmat import MAX_QUBITS, PauliString, apply_local, embed, rot
 
 _SQ2 = 1 / math.sqrt(2)
@@ -40,9 +40,9 @@ del _core
 _ROTATION_1Q = {"RX": "X", "RY": "Y", "RZ": "Z"}
 _TWO_QUBIT_PULSES = ("XX", "YY")
 
-# Default compensating arm for corrected raw pulses; the residual then sits on
-# the first listed wire (Z for an XX pulse, X for a YY pulse).
-_PULSE_ARM = {"XX": PauliString("YX"), "YY": PauliString("ZY")}
+# Correction axis of corrected raw pulses; the residual then sits on the first
+# listed wire (Z for an XX pulse, X for a YY pulse).
+_PULSE_CORRECTION_AXIS = {"XX": PauliString("YX"), "YY": PauliString("ZY")}
 
 GATE_KINDS = tuple(_FIXED_1Q) + tuple(_ROTATION_1Q) + ("CNOT",) + _TWO_QUBIT_PULSES
 
@@ -192,8 +192,8 @@ def op_core(op: GateOp, err: ErrorModel) -> np.ndarray:
     if op.kind in _TWO_QUBIT_PULSES:
         gen = PauliString(op.kind)
         if op.sk1:
-            return sk1(gen, _PULSE_ARM[op.kind], op.angle, err)
-        return rot(gen, op.angle * (1 + err.epsilon))
+            return sk1(gen, _PULSE_CORRECTION_AXIS[op.kind], op.angle, err)
+        return noisy_rot(gen, op.angle, err)
     if op.kind in _ROTATION_1Q:
         return rot(PauliString(_ROTATION_1Q[op.kind]), op.angle)
     return _FIXED_1Q[op.kind]

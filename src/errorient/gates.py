@@ -1,11 +1,11 @@
 """Ideal, noisy, and composite-pulse-corrected gates, and gate fidelity.
 
-The error model is a single systematic overrotation: every two-qubit XX pulse
-angle is scaled by ``(1 + epsilon)`` while single-qubit rotations stay perfect.
-The corrected CNOT constructions wrap an XX(pi/2) pulse between fixed
-single-qubit layers and insert a first-order compensating pulse pair whose
-leading residual is a single-qubit rotation with a selectable axis: X or Y on
-the control, or Y on the target.
+The error model is a single systematic overrotation: every two-qubit XX or YY
+pulse angle is scaled by ``(1 + epsilon)`` while single-qubit rotations stay
+perfect.  Every CNOT variant wraps one XX(pi/2) pulse between fixed
+single-qubit layers.  The corrected variants make that pulse the compensating
+sequence :func:`sk1` and differ only in its correction axis, which sets the
+axis of the leading residual: X or Y on the control, or Y on the target.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ _W2 = (rot(PauliString("ZI"), -math.pi / 2)
        @ rot(PauliString("YI"), -math.pi / 2)
        @ rot(PauliString("IX"), -math.pi / 2))
 
-# Compensating-pulse arm angle for the pi/2 entangling pulse.
-PHI_CNOT = math.acos(-1 / 8)
-
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Systematic fractional overrotation applied to every XX pulse angle."""
+    """Systematic fractional overrotation applied to every XX and YY pulse angle."""
 
     epsilon: float = 0.0
 
@@ -100,37 +97,26 @@ def sk1(a1: PauliString, a2: PauliString, theta: float, err: ErrorModel) -> np.n
     return corr_minus @ corr_plus @ noisy_rot(a1, theta, err)
 
 
-# Arm generator used by the three compensating pulses of each corrected CNOT.
-# The single-qubit wrapper layers rotate the arm's residual axis, so the arm
-# is chosen per variant to land the post-gate residual on the advertised axis.
-# Z-axis residuals (Z on control via IX-like arms conjugated differently, or
-# Z on target via IY arms) follow the same pattern and are a natural extension
-# point; only the orientations the selection passes use are exposed here.
-_ARM_GENERATOR = {
-    PulseVariant.SK1_XI: PauliString("YI"),
-    PulseVariant.SK1_YI: PauliString("ZI"),
-    PulseVariant.SK1_IY: PauliString("IZ"),
+# Correction axis of each corrected variant's XX(pi/2) pulse.  The pulse's
+# residual axis is ``third_axis(XX, axis)``: -YI, -ZI or -IZ, which the wrapper
+# ``_W2`` carries onto X or Y on the control, or Y on the target.
+_CORRECTION_AXIS = {
+    PulseVariant.SK1_XI: PauliString("ZX"),
+    PulseVariant.SK1_YI: PauliString("YX", -1),
+    PulseVariant.SK1_IY: PauliString("XY", -1),
 }
 
 
 @lru_cache(maxsize=4096)
 def _cnot_core(variant: PulseVariant, epsilon: float) -> np.ndarray:
     """Two-qubit CNOT realisation on (control, target) = (qubit 0, qubit 1)."""
-    scale = 1 + epsilon
+    err = ErrorModel(epsilon)
     if variant is PulseVariant.NAIVE:
-        core = _W2 @ rot(_XX, (math.pi / 2) * scale) @ _W1
+        core = _W2 @ noisy_rot(_XX, math.pi / 2, err) @ _W1
     elif variant is PulseVariant.SK1_MXI:
         core = _cnot_core(PulseVariant.SK1_XI, epsilon).conj().T
     else:
-        arm = _ARM_GENERATOR[variant]
-        core = (_W2
-                @ rot(arm, PHI_CNOT)
-                @ rot(_XX, 2 * math.pi * scale)
-                @ rot(arm, -2 * PHI_CNOT)
-                @ rot(_XX, 2 * math.pi * scale)
-                @ rot(arm, PHI_CNOT)
-                @ rot(_XX, (math.pi / 2) * scale)
-                @ _W1)
+        core = _W2 @ sk1(_XX, _CORRECTION_AXIS[variant], math.pi / 2, err) @ _W1
     core.flags.writeable = False
     return core
 
@@ -139,15 +125,10 @@ def cnot_variant(variant: PulseVariant, control: int, target: int,
                  err: ErrorModel, n: int) -> np.ndarray:
     """Full n-qubit unitary of a pulse-sequence CNOT on (control, target).
 
-    Single-qubit wrapper and arm rotations are perfect; only the XX pulses are
+    Single-qubit wrapper rotations are perfect; only the XX pulses are
     scaled by ``(1 + epsilon)``.
     """
-    variant = PulseVariant(variant)
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
-    if not (0 <= control < n and 0 <= target < n):
-        raise ValueError(f"qubits ({control}, {target}) out of range for {n} qubits")
-    return embed(_cnot_core(variant, err.epsilon), [control, target], n)
+    return embed(_cnot_core(PulseVariant(variant), err.epsilon), [control, target], n)
 
 
 def gate_fidelity(ideal: np.ndarray, applied: np.ndarray) -> float:

@@ -107,9 +107,6 @@ class PauliString:
             letters.append(ch)
         return PauliString("".join(letters), phase)
 
-    def __neg__(self) -> "PauliString":
-        return PauliString(self.letters, -self.phase)
-
     def anticommutes(self, other: "PauliString") -> bool:
         """True when the two strings anticommute (odd number of clashing sites)."""
         if self.n != other.n:
@@ -160,10 +157,11 @@ def rot_blend(a1: PauliString, a2: PauliString, phi: float, theta: float) -> np.
     """Rotation by ``theta`` about the blended axis ``cos(phi) a1 + sin(phi) a2``.
 
     The pair must anticommute (so the blend squares to the identity and the
-    closed form is exact) and both generators must carry phase +1.
+    closed form is exact) and both generators must be Hermitian: phase +1
+    or -1.
     """
-    if a1.phase != 1 or a2.phase != 1:
-        raise ValueError("blend generators must be Hermitian (phase +1)")
+    if a1.phase.imag or a2.phase.imag:
+        raise ValueError("blend generators must be Hermitian (phase +1 or -1)")
     if a1.n != a2.n:
         raise ValueError("blend generators must act on the same register")
     if not a1.anticommutes(a2):

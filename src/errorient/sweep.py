@@ -9,6 +9,7 @@ infidelity in the circuit column instead, since it is evaluated as a gate.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,12 +165,23 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     assigned = {s: strategy_circuit(circuit, s) for s in cfg.variants}
     tasks = [(assigned, is_gate_level, eps) for eps in cfg.grid()]
     if cfg.workers > 1:
+        # One chunk per worker, so each worker unpickles the strategy
+        # circuits once rather than once per grid point.
+        chunksize = math.ceil(len(tasks) / cfg.workers)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_evaluate_point, tasks))
+            records = list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
     else:
         records = [_evaluate_point(t) for t in tasks]
     records.sort(key=lambda r: r.epsilon)
     return records
+
+
+def _fit_points(records: list[SweepRecord], series: str, window: tuple[float, float]):
+    """In-window ``(epsilon, value)`` pairs above ``FIT_FLOOR``, and how many fell below."""
+    lo, hi = window
+    points = [(r.epsilon, r.value(series)) for r in records if lo <= r.epsilon <= hi]
+    kept = [(e, v) for e, v in points if v > FIT_FLOOR]
+    return kept, len(points) - len(kept)
 
 
 def fit_slope(records: list[SweepRecord], series: str,
@@ -180,32 +192,20 @@ def fit_slope(records: list[SweepRecord], series: str,
     values are dominated by double-precision noise); at least 3 usable points
     are required.
     """
-    lo, hi = window
-    eps, vals = [], []
-    dropped = 0
-    for rec in records:
-        if not lo <= rec.epsilon <= hi:
-            continue
-        v = rec.value(series)
-        if v <= FIT_FLOOR:
-            dropped += 1
-            continue
-        eps.append(rec.epsilon)
-        vals.append(v)
+    points, dropped = _fit_points(records, series, window)
     if dropped:
         log.info("fit_slope(%s): excluded %d sub-floor point(s)", series, dropped)
-    if len(vals) < 3:
+    if len(points) < 3:
         raise ValueError(f"too few usable points for {series!r}: "
-                         f"{len(vals)} in window [{lo}, {hi}]")
-    slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
-    return float(slope)
+                         f"{len(points)} in window [{window[0]}, {window[1]}]")
+    log_eps, log_vals = np.log(points).T
+    return float(np.polyfit(log_eps, log_vals, 1)[0])
 
 
 def usable_points(records: list[SweepRecord], series: str,
                   window: tuple[float, float] = CANONICAL_WINDOW) -> int:
-    lo, hi = window
-    return sum(1 for rec in records
-               if lo <= rec.epsilon <= hi and rec.value(series) > FIT_FLOOR)
+    """Number of points :func:`fit_slope` fits for the series in the window."""
+    return len(_fit_points(records, series, window)[0])
 
 
 def _column_name(series: str) -> str:

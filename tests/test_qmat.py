@@ -186,6 +186,19 @@ def test_rot_blend_rejects_commuting_pair():
         rot_blend(PauliString("XX"), PauliString("YY"), 0.3, 0.5)
 
 
+def test_rot_blend_accepts_negated_generator():
+    # -a2 is Hermitian, and blending towards it is blending at -phi
+    xx, yx = PauliString("XX"), PauliString("YX")
+    for phi in (0.4, math.acos(-1 / 8)):
+        got = rot_blend(xx, PauliString("YX", -1), phi, 1.3)
+        np.testing.assert_allclose(got, rot_blend(xx, yx, -phi, 1.3), atol=1e-15)
+    for phase in (1j, -1j):
+        with pytest.raises(ValueError, match="Hermitian"):
+            rot_blend(xx, PauliString("YX", phase), 0.4, 1.3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            rot_blend(PauliString("XX", phase), yx, 0.4, 1.3)
+
+
 def test_rot_blend_vs_expm_random():
     rng = np.random.default_rng(17)
     done = 0
