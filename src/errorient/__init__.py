@@ -7,20 +7,17 @@ compilation passes and sweep harness that demonstrate how error orientation
 moves circuit fidelity by orders of magnitude at fixed gate fidelity.
 """
 
-from .circuit import (Circuit, GateOp, basis_state, build_bv,
-                      build_controlled_pauli_rot, build_pea, build_toffoli,
-                      circuit_fidelity, circuit_infidelity, circuit_unitary,
-                      format_circuit, ideal_toffoli, op_core, op_unitary,
-                      parse_circuit, simulate, with_variants)
+from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
+                      circuit_infidelity, circuit_unitary, format_circuit,
+                      ideal_toffoli, op_core, parse_circuit, simulate,
+                      with_variants)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
-                    cnot_variant, gate_fidelity, gate_infidelity, noisy_rot,
-                    sk1)
+                    gate_infidelity, noisy_rot, sk1)
 from .orient import (Assignment, ErrorPlacement, Opaque, OrientationPlan,
-                     apply_plan, choose_measurement_orientation,
                      find_conjugate_pairs, pair_cancel, plan_circuit,
                      trace_orientation)
 from .qmat import (CapacityError, NotPauli, PauliString, conjugate_pauli,
-                   distance_up_to_phase, embed, pauli_matrix, rot, rot_blend,
+                   distance_up_to_phase, pauli_matrix, rot, rot_blend,
                    third_axis)
 from .sweep import (CANONICAL_WINDOW, SweepConfig, SweepRecord, emit_csv,
                     fit_slope, run_sweep)

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
-                      circuit_fidelity, circuit_infidelity, op_unitary, simulate)
+                      circuit_infidelity, op_unitary, simulate)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
                     cnot_variant, gate_infidelity, sk1)
 from .orient import ErrorPlacement, find_conjugate_pairs, trace_orientation
@@ -65,8 +65,8 @@ def _gate_slope(variant: PulseVariant) -> float:
 
 # ---------------------------------------------------------------------------
 # Criterion 1: the single-qubit worked example.  An error rotation that
-# commutes with the measurement basis leaves the circuit fidelity at exactly 1;
-# the orthogonal orientation costs cos^2(eps/2), identical to its gate fidelity.
+# commutes with the measurement basis leaves the circuit infidelity at exactly 0;
+# the orthogonal orientation costs sin^2(eps/2), identical to its gate infidelity.
 # ---------------------------------------------------------------------------
 
 def check_hadamard_orientation() -> CriterionResult:
@@ -80,10 +80,8 @@ def check_hadamard_orientation() -> CriterionResult:
         orthogonal = Circuit(
             width=1, ops=(GateOp("H", (0,)), GateOp("RZ", (0,), angle=eps)),
             output_register=(0,), ideal_output=plus)
-        f_comm = circuit_fidelity(commuting)
-        f_orth = circuit_fidelity(orthogonal)
-        dev_comm = abs(f_comm - 1.0)
-        dev_orth = abs(f_orth - math.cos(eps / 2) ** 2)
+        dev_comm = circuit_infidelity(commuting)
+        dev_orth = abs(circuit_infidelity(orthogonal) - math.sin(eps / 2) ** 2)
         worst = max(worst, dev_comm, dev_orth)
         details.append(f"eps={eps}: commuting dev={dev_comm:.2e}, orthogonal dev={dev_orth:.2e}")
     return CriterionResult("hadamard-orientation", worst < 1e-12, "; ".join(details))
@@ -228,9 +226,23 @@ def check_pea_determinism_pairing() -> CriterionResult:
 # Criterion 8: pass soundness against brute force.
 # ---------------------------------------------------------------------------
 
+def _pauli_basis(n: int) -> tuple[list[str], np.ndarray]:
+    """Every n-qubit Pauli label, and a ``(4^n, 4^n)`` array of their matrices.
+
+    Row k is the conjugated, flattened matrix of label k, so ``rows @ m.ravel()``
+    gives ``tr(P_k^dag m)`` for every k in one product.
+    """
+    labels = ["".join(ls) for ls in product("IXYZ", repeat=n)]
+    rows = np.array([pauli_matrix(PauliString(ls)).conj().ravel() for ls in labels])
+    return labels, rows
+
+
 def _brute_force_terminal(circuit: Circuit, placement: ErrorPlacement,
-                          basis: dict) -> PauliString:
-    """Terminal Pauli by explicit matrix conjugation and full basis projection."""
+                          basis: tuple[list[str], np.ndarray]) -> PauliString:
+    """Terminal Pauli by explicit matrix conjugation and full basis projection.
+
+    ``basis`` is :func:`_pauli_basis` of the circuit's width.
+    """
     n = circuit.width
     letters = ["I"] * n
     letters[placement.qubit] = placement.axis
@@ -239,22 +251,19 @@ def _brute_force_terminal(circuit: Circuit, placement: ErrorPlacement,
     for op in circuit.ops[placement.op_index + 1:]:
         g = op_unitary(op, n, ideal)
         m = g @ m @ g.conj().T
-    dim = 2 ** n
-    best_letters, best_coeff = None, 0.0
-    for cand, mat in basis.items():
-        c = np.vdot(mat, m) / dim
-        if abs(c) > abs(best_coeff):
-            best_letters, best_coeff = cand, c
+    labels, rows = basis
+    coeffs = rows @ m.ravel() / 2 ** n
+    best = int(np.argmax(np.abs(coeffs)))
+    best_coeff = coeffs[best]
     phase = min((1 + 0j, -1 + 0j, 1j, -1j), key=lambda p: abs(best_coeff - p))
     if abs(best_coeff - phase) > 1e-10:
         raise AssertionError(f"brute-force result is not a signed Pauli: {best_coeff}")
-    return PauliString(best_letters, phase)
+    return PauliString(labels[best], phase)
 
 
 def check_pass_soundness() -> CriterionResult:
     bv = build_bv("1111")
-    basis = {"".join(ls): pauli_matrix(PauliString("".join(ls)))
-             for ls in product("IXYZ", repeat=bv.width)}
+    basis = _pauli_basis(bv.width)
     mismatches = 0
     total = 0
     for op_index in range(len(bv.ops)):

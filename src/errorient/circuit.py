@@ -1,10 +1,11 @@
-"""Circuit representation, exact simulator, circuit fidelity, and benchmark builders.
+"""Circuit representation, exact simulator, circuit infidelity, and benchmark builders.
 
 Circuits are immutable: a tuple of gate operations plus an input state, an
 output register, and the ideal pure state expected on that register.  The
 simulator is exact (dense state vectors, no sampling); the systematic error
 ``epsilon`` enters only through two-qubit XX/YY pulses, per the gate module's
-contract.
+contract.  Circuit infidelity sums the squared amplitudes of the final state
+orthogonal to the ideal output, so it needs no ``1 - fidelity`` subtraction.
 """
 
 from __future__ import annotations
@@ -122,11 +123,6 @@ def _as_state(value, nbits: int, what: str) -> np.ndarray:
     return vec
 
 
-def basis_state(label: str) -> np.ndarray:
-    """State vector of a computational-basis label, qubit 0 first."""
-    return _as_state(label, len(label), "basis state")
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class Circuit:
     """Ordered gate list with input state, output register, and ideal output."""
@@ -221,8 +217,12 @@ def circuit_unitary(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> np.n
     return _evolve(circuit, err, np.eye(2 ** circuit.width, dtype=complex))
 
 
-def _output_amplitudes(circuit: Circuit, err: ErrorModel):
-    """Split the final state into retained and orthogonal output-register parts."""
+def _orthogonal_residual(circuit: Circuit, err: ErrorModel) -> np.ndarray:
+    """Part of the final state orthogonal to the ideal output on the register.
+
+    Returned as a ``(2^|register|, 2^rest)`` matrix whose columns range over
+    the basis of the discarded wires.
+    """
     psi = simulate(circuit, err)
     reg = circuit.output_register
     rest = [q for q in range(circuit.width) if q not in reg]
@@ -231,29 +231,18 @@ def _output_amplitudes(circuit: Circuit, err: ErrorModel):
         2 ** len(reg), 2 ** len(rest)
     )
     v = circuit.ideal_output_vector()
-    amp = v.conj() @ mat
-    resid = mat - np.outer(v, amp)
-    return amp, resid
-
-
-def circuit_fidelity(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> float:
-    """Probability weight of the ideal output state on the output register.
-
-    Non-output qubits are traced out: the value is the summed squared overlap
-    of the ideal state with the final state over the discarded-register basis.
-    """
-    amp, _ = _output_amplitudes(circuit, err)
-    return float(min((np.abs(amp) ** 2).sum(), 1.0))
+    return mat - np.outer(v, v.conj() @ mat)
 
 
 def circuit_infidelity(circuit: Circuit, err: ErrorModel = ErrorModel(0.0)) -> float:
-    """``1 - circuit_fidelity`` computed from the orthogonal state component.
+    """Probability that the output register is not found in the ideal state.
 
-    Summing squared amplitudes of the complement avoids the cancellation that
-    makes ``1 - fidelity`` unusable below ~1e-16, so steep error curves stay
-    resolvable deep into the small-epsilon regime.
+    Non-output qubits are traced out.  The value is the summed squared
+    amplitude of the final state's component orthogonal to the ideal output,
+    a sum of squares rather than ``1 - fidelity``, so steep error curves stay
+    resolvable far below 1e-16.
     """
-    _, resid = _output_amplitudes(circuit, err)
+    resid = _orthogonal_residual(circuit, err)
     return float((np.abs(resid) ** 2).sum())
 
 
@@ -341,14 +330,6 @@ def _controlled_rot_ops(axis: str, theta: float, ctrl: int, q1: int, q2: int):
         _cnot(q1, q2),
         GateOp(bc, (q1,)), GateOp(bc, (q2,)),
     ]
-
-
-def build_controlled_pauli_rot(axis: str, theta: float) -> Circuit:
-    """Three-qubit fragment: qubit 0 controls rot(axis, theta) on qubits 1, 2."""
-    axis = axis.upper()
-    if axis not in _TWO_QUBIT_PULSES:
-        raise ValueError(f"axis must be XX or YY, got {axis!r}")
-    return Circuit(width=3, ops=tuple(_controlled_rot_ops(axis, theta, 0, 1, 2)))
 
 
 #: Deterministic ancilla readout of the phase-estimation circuit at epsilon=0,

@@ -1,4 +1,4 @@
-"""Ideal, noisy, and composite-pulse-corrected gates, and gate fidelity.
+"""Ideal, noisy, and composite-pulse-corrected gates, and gate infidelity.
 
 The error model is a single systematic overrotation: every two-qubit XX or YY
 pulse angle is scaled by ``(1 + epsilon)`` while single-qubit rotations stay
@@ -6,6 +6,8 @@ perfect.  Every CNOT variant wraps one XX(pi/2) pulse between fixed
 single-qubit layers.  The corrected variants make that pulse the compensating
 sequence :func:`sk1` and differ only in its correction axis, which sets the
 axis of the leading residual: X or Y on the control, or Y on the target.
+Gate infidelity is the squared Frobenius distance of the residual from its
+nearest multiple of the identity, a sum of squares with no cancellation.
 """
 
 from __future__ import annotations
@@ -131,18 +133,19 @@ def cnot_variant(variant: PulseVariant, control: int, target: int,
     return embed(_cnot_core(PulseVariant(variant), err.epsilon), [control, target], n)
 
 
-def gate_fidelity(ideal: np.ndarray, applied: np.ndarray) -> float:
-    """Entanglement fidelity ``|tr(ideal^dag applied) / dim|^2`` in [0, 1].
+def gate_infidelity(ideal: np.ndarray, applied: np.ndarray) -> float:
+    """Entanglement infidelity ``1 - |tr(ideal^dag applied) / d|^2``, summed as squares.
 
+    With ``W = ideal^dag applied`` and ``t = tr W / d`` the value is
+    ``||W - t I||_F^2 / d``, which equals ``1 - |t|^2`` for unitary ``W`` but
+    subtracts nothing near 1, so it stays accurate far below 1e-16.
     Invariant under a global phase of either operand.
     """
     ideal = np.asarray(ideal, dtype=complex)
     applied = np.asarray(applied, dtype=complex)
     if ideal.shape != applied.shape:
         raise ValueError(f"dimension mismatch: {ideal.shape} vs {applied.shape}")
-    t = np.vdot(ideal, applied) / ideal.shape[0]
-    return float(min(abs(t) ** 2, 1.0))
-
-
-def gate_infidelity(ideal: np.ndarray, applied: np.ndarray) -> float:
-    return max(1.0 - gate_fidelity(ideal, applied), 0.0)
+    d = ideal.shape[0]
+    w = (ideal.conj().T @ applied).ravel()
+    w[::d + 1] -= np.vdot(ideal, applied) / d
+    return float(np.vdot(w, w).real / d)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, op_core, with_variants
+from .circuit import Circuit, op_core
 from .gates import ErrorModel, PulseVariant
 from .qmat import ATOL_ORACLE, NotPauli, PauliString, conjugate_pauli, pauli_matrix
 
@@ -88,10 +88,6 @@ class OrientationPlan:
     def to_jsonl(self) -> str:
         return "".join(json.dumps(a.as_dict(), sort_keys=True) + "\n"
                        for a in self.assignments)
-
-
-def apply_plan(circuit: Circuit, plan: OrientationPlan) -> Circuit:
-    return with_variants(circuit, plan.variant_map())
 
 
 def trace_orientation(circuit: Circuit, placement: ErrorPlacement):
@@ -165,17 +161,6 @@ def _choose_for_cnot(circuit: Circuit, op_index: int) -> Assignment:
                 return _assignment(op_index, op.control, op.target, variant,
                                    "measurement-cancel")
     return _assignment(op_index, op.control, op.target, PulseVariant.SK1_XI, "default")
-
-
-def choose_measurement_orientation(circuit: Circuit) -> OrientationPlan:
-    """Per-CNOT variant choice that makes the traced residual invisible at readout.
-
-    Each CNOT tries the available orientations in preference order and keeps
-    the first whose terminal Pauli is harmless at readout; CNOTs with no
-    qualifying orientation (or with Opaque traces) fall back to the default.
-    """
-    assignments = tuple(_choose_for_cnot(circuit, i) for i in circuit.cnot_indices)
-    return OrientationPlan(assignments)
 
 
 def find_conjugate_pairs(circuit: Circuit) -> tuple[tuple[int, int], ...]:

@@ -86,11 +86,6 @@ class PauliString:
         return len(self.letters)
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return sum(ch != "I" for ch in self.letters)
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, ch in enumerate(self.letters) if ch != "I")
 
@@ -223,37 +218,19 @@ def conjugate_pauli(g: np.ndarray, p: PauliString, atol: float = ATOL_ORACLE):
 
 
 def distance_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """``min_c max_ij |a_ij - c b_ij|`` over unit-modulus phases ``c``.
+    """``max_ij |a_ij - c b_ij|`` with ``b`` aligned to ``a`` by its overlap phase.
 
-    Zero exactly when the operands agree up to a global phase.
+    ``c = tr(b^dag a) / |tr(b^dag a)|``, or 1 when the trace vanishes.  The
+    value is zero exactly when the operands agree up to a global phase, and
+    it is never below ``min_c max_ij |a_ij - c b_ij|`` over unit phases.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-    def f(t: float) -> float:
-        return float(np.abs(a - np.exp(1j * t) * b).max())
-
-    # Coarse scan, then ternary refinement around the best cell.  The trace
-    # phase is an extra candidate: it is exactly optimal when a = c b.
-    ts = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    vals = [f(t) for t in ts]
-    i0 = int(np.argmin(vals))
-    step = ts[1] - ts[0]
-    lo, hi = ts[i0] - step, ts[i0] + step
-    for _ in range(120):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    best = f((lo + hi) / 2)
     tr = complex(np.vdot(b, a))
-    if abs(tr) > 0:
-        best = min(best, f(float(np.angle(tr))))
-    return min(best, float(vals[i0]))
+    c = tr / abs(tr) if tr else 1.0
+    return float(np.abs(a - c * b).max())
 
 
 def embed(u: np.ndarray, qubits, n: int) -> np.ndarray:

@@ -18,13 +18,11 @@ import numpy as np
 
 from .circuit import (Circuit, build_bv, build_pea, build_toffoli, circuit_infidelity,
                       circuit_unitary, ideal_toffoli, parse_circuit, with_variants)
-from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, cnot_variant,
-                    gate_infidelity)
+from .gates import (EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant,
+                    cnot_variant, gate_infidelity)
 from .orient import pair_cancel
 
 log = logging.getLogger(__name__)
-
-EPS_CAP = 0.5
 
 #: Below this infidelity double precision is exhausted for trace-based values;
 #: such points are excluded from slope fits.
@@ -53,9 +51,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not 0 < self.eps_min < self.eps_max < EPS_CAP:
+        if not 0 < self.eps_min < self.eps_max < EPS_LIMIT:
             raise ValueError(
-                f"need 0 < eps_min < eps_max < {EPS_CAP}, got "
+                f"need 0 < eps_min < eps_max < {EPS_LIMIT}, got "
                 f"[{self.eps_min}, {self.eps_max}]"
             )
         if self.points < 2:

@@ -1,4 +1,4 @@
-"""Circuit IR, simulator, fidelity, benchmark builders, and serialization."""
+"""Circuit IR, simulator, infidelity, benchmark builders, and serialization."""
 
 import math
 import pickle
@@ -8,15 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from errorient.circuit import (GAMMA, Circuit, GateOp, basis_state, build_bv,
-                               build_controlled_pauli_rot, build_pea,
-                               build_toffoli, circuit_fidelity,
+from errorient.circuit import (GAMMA, Circuit, GateOp, _controlled_rot_ops,
+                               build_bv, build_pea, build_toffoli,
                                circuit_infidelity, circuit_unitary,
                                format_circuit, ideal_toffoli, op_core,
                                op_unitary, parse_circuit, simulate,
                                with_variants)
 from errorient.gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant,
-                             gate_fidelity, gate_infidelity)
+                             gate_infidelity)
 from errorient.orient import pair_cancel, plan_circuit
 from errorient.qmat import PauliString, distance_up_to_phase, pauli_matrix, rot
 from support import circuits
@@ -92,12 +91,14 @@ def test_with_variants():
 
 
 # ---------------------------------------------------------------------------
-# simulate / fidelity basics
+# simulate / infidelity basics
 # ---------------------------------------------------------------------------
 
 def test_simulate_empty_circuit():
     c = Circuit(width=2, ops=(), input_state="10")
-    np.testing.assert_allclose(simulate(c), basis_state("10"))
+    want = np.zeros(4, dtype=complex)
+    want[0b10] = 1
+    np.testing.assert_allclose(simulate(c), want)
 
 
 def test_simulate_single_hadamard():
@@ -161,23 +162,14 @@ def test_hadamard_worked_example():
         orthogonal = Circuit(width=1,
                              ops=(GateOp("H", (0,)), GateOp("RZ", (0,), angle=eps)),
                              output_register=(0,), ideal_output=plus)
-        assert abs(circuit_fidelity(commuting) - 1.0) < 1e-12
-        assert abs(circuit_fidelity(orthogonal) - math.cos(eps / 2) ** 2) < 1e-12
+        assert circuit_infidelity(commuting) < 1e-12
+        assert abs(circuit_infidelity(orthogonal) - math.sin(eps / 2) ** 2) < 1e-12
 
 
 def test_fidelity_requires_ideal_output():
     c = Circuit(width=1, ops=())
     with pytest.raises(ValueError):
-        circuit_fidelity(c)
-
-
-def test_fidelity_bounds_and_complement():
-    c = build_bv("1111")
-    for eps in (0.0, 0.05, 0.2):
-        f = circuit_fidelity(c, ErrorModel(eps))
-        d = circuit_infidelity(c, ErrorModel(eps))
-        assert 0.0 <= f <= 1.0
-        assert abs((f + d) - 1.0) < 1e-12
+        circuit_infidelity(c)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +219,14 @@ def test_bv_structure_full_mask():
 
 def test_bv_reads_hidden_string_exactly():
     c = build_bv("1111")
-    assert abs(circuit_fidelity(c, E0) - 1.0) < 1e-12
+    assert circuit_infidelity(c, E0) < 1e-12
 
 
 def test_bv_empty_mask_immune_to_error():
     c = build_bv("0000")
     assert len(c.cnot_indices) == 0
     for eps in (0.0, 0.1, 0.3):
-        assert abs(circuit_fidelity(c, ErrorModel(eps)) - 1.0) < 1e-12
+        assert circuit_infidelity(c, ErrorModel(eps)) < 1e-12
 
 
 def test_bv_single_bit():
@@ -261,8 +253,7 @@ def test_bv_validates_mask():
 def test_toffoli_exact_at_zero_error():
     c = build_toffoli()
     assert len(c.cnot_indices) == 6
-    f = gate_fidelity(ideal_toffoli(), circuit_unitary(c, E0))
-    assert abs(f - 1.0) < 1e-12
+    assert gate_infidelity(ideal_toffoli(), circuit_unitary(c, E0)) < 1e-12
 
 
 def test_toffoli_naive_worse_than_cnot():
@@ -275,9 +266,8 @@ def test_toffoli_naive_worse_than_cnot():
 
 
 def test_toffoli_paired_beats_cnot():
-    from errorient.orient import apply_plan
     c = build_toffoli()
-    paired = apply_plan(c, pair_cancel(c))
+    paired = with_variants(c, pair_cancel(c).variant_map())
     xi_gate = GateOp("CNOT", (0, 1), variant=PulseVariant.SK1_XI)
     for eps in (1e-3, 3e-3, 1e-2):
         err = ErrorModel(eps)
@@ -289,6 +279,11 @@ def test_toffoli_paired_beats_cnot():
 # ---------------------------------------------------------------------------
 # Controlled two-qubit rotations
 # ---------------------------------------------------------------------------
+
+def _fragment(axis, theta):
+    """Three-qubit fragment: qubit 0 controls rot(axis, theta) on qubits 1, 2."""
+    return Circuit(width=3, ops=tuple(_controlled_rot_ops(axis, theta, 0, 1, 2)))
+
 
 def _controlled(u4):
     dim = u4.shape[0]
@@ -302,28 +297,23 @@ def _controlled(u4):
 def test_controlled_rot_matches_direct_construction(axis):
     rng = np.random.default_rng(13)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=20):
-        frag = build_controlled_pauli_rot(axis, float(theta))
+        frag = _fragment(axis, float(theta))
         got = circuit_unitary(frag, E0)
         oracle = _controlled(rot(PauliString(axis), float(theta)))
         assert distance_up_to_phase(got, oracle) < 1e-10
 
 
 def test_controlled_rot_zero_angle_is_identity():
-    frag = build_controlled_pauli_rot("XX", 0.0)
+    frag = _fragment("XX", 0.0)
     got = circuit_unitary(frag, E0)
     assert distance_up_to_phase(got, np.eye(8, dtype=complex)) < 1e-12
 
 
 def test_controlled_rot_pi_explicit():
-    frag = build_controlled_pauli_rot("XX", math.pi)
+    frag = _fragment("XX", math.pi)
     got = circuit_unitary(frag, E0)
     oracle = _controlled(rot(PauliString("XX"), math.pi))
     assert distance_up_to_phase(got, oracle) < 1e-10
-
-
-def test_controlled_rot_rejects_axis():
-    with pytest.raises(ValueError):
-        build_controlled_pauli_rot("ZZ", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +328,7 @@ def test_pea_deterministic_readout():
     # golden value derived from the exact simulation and frozen in the builder
     assert format(top, "02b") == c.ideal_output == "10"
     assert probs[top] > 1 - 1e-10
-    assert abs(circuit_fidelity(c, E0) - 1.0) < 1e-10
+    assert circuit_infidelity(c, E0) < 1e-10
 
 
 def test_pea_all_cnots_paired():

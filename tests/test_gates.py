@@ -1,4 +1,4 @@
-"""Noisy rotations, the compensating sequence, CNOT variants, gate fidelity."""
+"""Noisy rotations, the compensating sequence, CNOT variants, gate infidelity."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from errorient.gates import (EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant,
-                             Sk1Params, cnot_variant, gate_fidelity,
-                             gate_infidelity, noisy_rot, sk1)
+                             Sk1Params, cnot_variant, gate_infidelity,
+                             noisy_rot, sk1)
 from errorient.qmat import (PauliString, distance_up_to_phase, pauli_matrix, rot,
                             third_axis)
 from support import is_unitary
@@ -122,11 +122,11 @@ def test_cnot_variant_validates_wires():
 
 def test_naive_gate_fidelity_closed_form():
     # residual of the naive gate is a quarter-strength overrotation:
-    # U^dag V = rot(XX', pi eps / 2), so F = cos^2(pi eps / 4)
+    # U^dag V = rot(XX', pi eps / 2), so 1 - F = sin^2(pi eps / 4)
     for eps in (0.01, 0.05, 0.2):
         applied = cnot_variant(PulseVariant.NAIVE, 0, 1, ErrorModel(eps), 2)
-        got = gate_fidelity(TEXTBOOK_CNOT, applied)
-        assert abs(got - math.cos(math.pi * eps / 4) ** 2) < 1e-12
+        got = gate_infidelity(TEXTBOOK_CNOT, applied)
+        assert abs(got - math.sin(math.pi * eps / 4) ** 2) < 1e-12
 
 
 def test_cnot_variants_unitary_at_random_eps():
@@ -138,7 +138,7 @@ def test_cnot_variants_unitary_at_random_eps():
 
 def test_sk1_fidelity_equality():
     for eps in (1e-3, 1e-2, 0.1):
-        vals = [gate_fidelity(TEXTBOOK_CNOT, cnot_variant(v, 0, 1, ErrorModel(eps), 2))
+        vals = [gate_infidelity(TEXTBOOK_CNOT, cnot_variant(v, 0, 1, ErrorModel(eps), 2))
                 for v in SK1_VARIANTS]
         assert max(vals) - min(vals) < 1e-12
 
@@ -213,26 +213,38 @@ def test_mxi_residual_is_opposite():
 
 
 # ---------------------------------------------------------------------------
-# gate_fidelity
+# gate_infidelity
 # ---------------------------------------------------------------------------
 
 def test_gate_fidelity_identity():
     u = rot(PauliString("ZZ"), 1.3)
-    assert gate_fidelity(u, u) == pytest.approx(1.0, abs=1e-15)
+    assert gate_infidelity(u, u) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gate_fidelity_phase_invariant():
     u = rot(PauliString("ZZ"), 1.3)
-    assert gate_fidelity(u, np.exp(0.7j) * u) == pytest.approx(1.0, abs=1e-12)
+    assert gate_infidelity(u, np.exp(0.7j) * u) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gate_fidelity_hadamard_x_error():
     h = (pauli_matrix(PauliString("X")) + pauli_matrix(PauliString("Z"))) / math.sqrt(2)
     for eps in (0.05, 0.3):
         applied = rot(PauliString("X"), eps) @ h
-        assert abs(gate_fidelity(h, applied) - math.cos(eps / 2) ** 2) < 1e-12
+        assert abs(gate_infidelity(h, applied) - math.sin(eps / 2) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("generator", ["ZI", "IIZ"])
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+def test_gate_infidelity_resolves_tiny_rotations(generator, delta):
+    # 1 - |tr/d|^2 loses everything below ~1e-16; the sum of squares keeps
+    # full relative precision on 4x4 (CNOT) and 8x8 (Toffoli) operators.
+    p = PauliString(generator)
+    ident = np.eye(2 ** p.n, dtype=complex)
+    got = gate_infidelity(ident, rot(p, delta))
+    want = math.sin(delta / 2) ** 2
+    assert abs(got - want) <= 1e-9 * want
 
 
 def test_gate_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
-        gate_fidelity(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
+        gate_infidelity(np.eye(2, dtype=complex), np.eye(4, dtype=complex))

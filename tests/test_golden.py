@@ -18,8 +18,10 @@ from errorient.sweep import (CANONICAL_WINDOW, FIT_FLOOR, SWEEP_STRATEGIES, Swee
 GOLDEN = Path(__file__).parent / "golden"
 
 # Circuit infidelities are sums of squared residual amplitudes and keep their
-# relative precision down to the fit floor.  Gate-level values are 1 - |tr|^2,
-# which keeps only about 1e-15 absolute, so they are compared absolutely.
+# relative precision down to the fit floor.  The golden gate-level values were
+# written with 1 - |tr|^2, which keeps only about 1e-15 absolute; the program
+# now sums squares there too, so they are compared absolutely against the
+# less precise frozen values.
 CIRCUIT_RTOL = 1e-7
 GATE_ATOL = 1e-14
 SLOPE_TOL = 0.02

@@ -12,8 +12,7 @@ from errorient.circuit import (Circuit, GateOp, build_bv, build_pea,
                                build_toffoli, circuit_infidelity, op_unitary,
                                simulate, with_variants)
 from errorient.gates import ErrorModel, PulseVariant, cnot_variant
-from errorient.orient import (ErrorPlacement, Opaque, OrientationPlan, apply_plan,
-                              choose_measurement_orientation,
+from errorient.orient import (ErrorPlacement, Opaque, _choose_for_cnot,
                               find_conjugate_pairs, pair_cancel, plan_circuit,
                               plan_table, trace_orientation)
 from errorient.qmat import (NotPauli, PauliString, conjugate_pauli,
@@ -76,12 +75,9 @@ def test_trace_validates_index():
 
 
 def test_trace_matches_brute_force_on_bv():
-    from errorient.acceptance import _brute_force_terminal
-    from errorient.qmat import pauli_matrix
-    from itertools import product
+    from errorient.acceptance import _brute_force_terminal, _pauli_basis
     c = build_bv("1101")
-    basis = {"".join(ls): pauli_matrix(PauliString("".join(ls)))
-             for ls in product("IXYZ", repeat=c.width)}
+    basis = _pauli_basis(c.width)
     rng = np.random.default_rng(4)
     for _ in range(25):
         placement = ErrorPlacement(int(rng.integers(0, len(c.ops))),
@@ -122,12 +118,13 @@ def test_trace_matches_dense_conjugation(circuit):
 
 
 # ---------------------------------------------------------------------------
-# choose_measurement_orientation
+# measurement orientation (plan_circuit on circuits without conjugate pairs)
 # ---------------------------------------------------------------------------
 
 def test_bv_chooses_control_x_everywhere():
     c = build_bv("1111")
-    plan = choose_measurement_orientation(c)
+    assert find_conjugate_pairs(c) == ()
+    plan = plan_circuit(c)
     assert len(plan.assignments) == 4
     for a in plan.assignments:
         assert a.variant is PulseVariant.SK1_XI
@@ -136,7 +133,7 @@ def test_bv_chooses_control_x_everywhere():
 
 def test_no_cnots_empty_plan():
     c = Circuit(width=2, ops=(GateOp("H", (0,)),), output_register=(0,), ideal_output="0")
-    assert choose_measurement_orientation(c).assignments == ()
+    assert plan_circuit(c).assignments == ()
 
 
 def test_forced_control_y_terminal_not_diagonal():
@@ -173,7 +170,7 @@ def test_vector_readout_rejects_diagonal_but_visible_terminal():
     assert abs(fit(eps, [circuit_infidelity(xi, ErrorModel(float(e))) for e in eps]) - 4) < 0.1
     # the target-Y residual stays on the discarded wire: no visible error at
     # all, down to rounding
-    chosen = apply_plan(c, plan_circuit(c))
+    chosen = with_variants(c, plan_circuit(c).variant_map())
     assert max(circuit_infidelity(chosen, ErrorModel(float(e))) for e in eps) < 1e-28
 
 
@@ -186,7 +183,7 @@ def test_vector_readout_choice_is_sixth_order():
     assert (a.variant, a.rationale) == (PulseVariant.SK1_YI, "measurement-cancel")
     eps = np.geomspace(1e-3, 1e-2, 7)
     assert circuit_infidelity(c, ErrorModel(0.0)) < 1e-28
-    chosen = apply_plan(c, plan_circuit(c))
+    chosen = with_variants(c, plan_circuit(c).variant_map())
     assert fit(eps, [circuit_infidelity(chosen, ErrorModel(float(e))) for e in eps]) >= 5.9
 
 
@@ -194,14 +191,14 @@ def test_opaque_paths_fall_back_to_default():
     c = Circuit(width=2,
                 ops=(GateOp("CNOT", (0, 1)), GateOp("T", (0,)), GateOp("T", (1,))),
                 output_register=(0, 1), ideal_output="00")
-    plan = choose_measurement_orientation(c)
+    plan = plan_circuit(c)
     assert plan.assignments[0].variant is PulseVariant.SK1_XI
     assert plan.assignments[0].rationale == "default"
 
 
 def test_gate_level_circuit_uses_default():
-    plan = choose_measurement_orientation(build_toffoli())
-    assert all(a.rationale == "default" for a in plan.assignments)
+    c = build_toffoli()
+    assert all(_choose_for_cnot(c, i).rationale == "default" for i in c.cnot_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +263,7 @@ def test_nested_pairs_resolve():
 
 def test_plans_are_total():
     for circuit in (build_bv("1111"), build_toffoli(), build_pea()):
-        for plan in (pair_cancel(circuit), choose_measurement_orientation(circuit),
-                     plan_circuit(circuit)):
+        for plan in (pair_cancel(circuit), plan_circuit(circuit)):
             assert sorted(a.op_index for a in plan.assignments) == list(circuit.cnot_indices)
 
 
@@ -369,7 +365,7 @@ def _assert_labels_sound(circuit):
     # a labelled CNOT, or both CNOTs of a labelled pair, alone at epsilon
     # must cost the readout order eps^6
     plan = plan_circuit(circuit)
-    chosen = apply_plan(circuit, plan)
+    chosen = with_variants(circuit, plan.variant_map())
     pair_of = {i: pair for pair in find_conjugate_pairs(circuit) for i in pair}
     cases = {(a.op_index,) if a.rationale == "measurement-cancel" else pair_of[a.op_index]
              for a in plan.assignments if a.rationale != "default"}
@@ -409,7 +405,7 @@ def test_plan_circuit_pairs_first():
 def test_apply_plan_sets_variants():
     c = build_toffoli()
     plan = pair_cancel(c)
-    assigned = apply_plan(c, plan)
+    assigned = with_variants(c, plan.variant_map())
     for a in plan.assignments:
         assert assigned.ops[a.op_index].variant is a.variant
 

@@ -80,9 +80,8 @@ def test_pauli_string_validation():
         PauliString("X" * 7)
 
 
-def test_weight():
-    assert PauliString("IXIZ").weight == 2
-    assert PauliString("II").weight == 0
+def test_support():
+    assert PauliString("II").support == ()
     assert PauliString("IXIZ").support == (1, 3)
 
 
@@ -283,6 +282,10 @@ def test_distance_global_phase():
     u = rot(PauliString("XY"), 0.7)
     assert distance_up_to_phase(u, -u) < 1e-13
     assert distance_up_to_phase(u, 1j * u) < 1e-13
+    rng = np.random.default_rng(5)
+    w, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    phi = rng.uniform(0, 2 * math.pi)
+    assert distance_up_to_phase(w, np.exp(1j * phi) * w) < 1e-14
 
 
 def test_distance_identity_vs_small_z():
