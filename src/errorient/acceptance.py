@@ -14,9 +14,9 @@ from itertools import combinations, product
 import numpy as np
 
 from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
-                      circuit_infidelity, op_unitary, simulate)
+                      circuit_infidelity, op_core, op_unitary, simulate)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
-                    cnot_variant, gate_infidelity, sk1)
+                    gate_infidelity, sk1)
 from .orient import ErrorPlacement, find_conjugate_pairs, trace_orientation
 from .qmat import (NotPauli, PauliString, distance_up_to_phase, pauli_matrix, rot,
                    third_axis)
@@ -54,8 +54,8 @@ def _series(records, series):
 
 def _gate_curve(variant: PulseVariant) -> np.ndarray:
     """Gate infidelity of one CNOT variant at every point of ``GRID``."""
-    return np.array([gate_infidelity(TEXTBOOK_CNOT,
-                                     cnot_variant(variant, 0, 1, ErrorModel(float(e)), 2))
+    gate = GateOp("CNOT", (0, 1), variant=variant)
+    return np.array([gate_infidelity(TEXTBOOK_CNOT, op_core(gate, ErrorModel(float(e))))
                      for e in GRID])
 
 

@@ -412,16 +412,18 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format; inverse of :func:`format_circuit`.
 
     Anything the format does not define is rejected with its line number:
-    repeated header lines, extra or misspelt tokens, non-finite angles.
-    Identical op lines yield one shared :class:`GateOp`.
+    repeated header lines, extra or misspelt tokens, non-finite angles, and
+    a width, wire or state label that :class:`Circuit` rejects.  Identical op
+    lines yield one shared :class:`GateOp`.
     """
     width = None
     input_state = None
     output_register: tuple[int, ...] = ()
     ideal_output = None
-    seen: set[str] = set()
+    header_lines: dict[str, int] = {}
     ops: list[GateOp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -429,9 +431,9 @@ def parse_circuit(text: str) -> Circuit:
         head = tokens[0].lower()
         try:
             if head in _HEADERS:
-                if head in seen:
+                if head in header_lines:
                     raise ValueError(f"repeated {head!r} line")
-                seen.add(head)
+                header_lines[head] = lineno
             if head == "qubits":
                 _check_count(tokens[1:], 1)
                 width = int(tokens[1])
@@ -453,8 +455,28 @@ def parse_circuit(text: str) -> Circuit:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     if width is None:
         raise ValueError("missing 'qubits <n>' header line")
-    return Circuit(width=width, ops=tuple(ops), input_state=input_state,
-                   output_register=output_register, ideal_output=ideal_output)
+    try:
+        return Circuit(width=width, ops=tuple(ops), input_state=input_state,
+                       output_register=output_register, ideal_output=ideal_output)
+    except ValueError as exc:
+        op_lines = [lineno for lineno, raw in enumerate(lines, start=1)
+                    if (line := raw.split("#", 1)[0].strip())
+                    and line.split()[0].lower() not in _HEADERS]
+        # Each piece on its own, in the order Circuit checks them; the first
+        # one it rejects is the line that raised.
+        pieces = [(header_lines["qubits"], {})]
+        pieces += [(lineno, {"ops": (op,)}) for lineno, op in zip(op_lines, ops)]
+        pieces += [(header_lines.get("output"), {"output_register": output_register}),
+                   (header_lines.get("input"), {"input_state": input_state}),
+                   (header_lines.get("output"), {"output_register": output_register,
+                                                 "ideal_output": ideal_output})]
+        for lineno, fields in pieces:
+            try:
+                Circuit(**{"width": width, "ops": (), **fields})
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot parse {lines[lineno - 1]!r}: "
+                                 f"{exc}") from exc
+        raise
 
 
 # Generated and repeated circuits reuse a small set of op lines; sharing one

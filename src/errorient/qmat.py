@@ -256,15 +256,22 @@ def embed(u: np.ndarray, qubits, n: int) -> np.ndarray:
 def apply_local(columns: np.ndarray, u: np.ndarray, wires) -> np.ndarray:
     """``embed(u, wires, n) @ columns`` for a ``(2^n, R)`` block, without the embedding.
 
-    The wire axes of the column states are moved to the front, contracted
-    with the 2^k x 2^k matrix ``u`` and moved back, with qubit 0 as the most
-    significant bit of a row index.  This is the one place that decides how
-    a local matrix lands on register wires.  Wires are not validated: they
-    must be distinct and in ``range(n)``.
+    The column states are viewed as an ``(2,) * n + (R,)`` tensor with qubit 0
+    as the most significant bit of a row index.  One transpose by a
+    permutation built from ``wires`` puts the wire axes first, in order, and
+    keeps the other axes in theirs; one product with the 2^k x 2^k matrix
+    ``u`` acts on them; the inverse permutation puts them back.  This is the
+    one place that decides how a local matrix lands on register wires.  The
+    input block is not modified.  Wires are not validated: they must be
+    distinct and in ``range(n)``.
     """
     dim, r = columns.shape
     n = dim.bit_length() - 1
     k = len(wires)
-    t = np.moveaxis(columns.reshape((2,) * n + (r,)), wires, range(k))
+    perm = (*wires, *(a for a in range(n + 1) if a not in wires))
+    inverse = [0] * (n + 1)
+    for position, axis in enumerate(perm):
+        inverse[axis] = position
+    t = columns.reshape((2,) * n + (r,)).transpose(perm)
     t = (u @ t.reshape(2 ** k, -1)).reshape(t.shape)
-    return np.moveaxis(t, range(k), wires).reshape(dim, r)
+    return t.transpose(inverse).reshape(dim, r)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (Circuit, build_bv, build_pea, build_toffoli, circuit_infidelity,
-                      circuit_unitary, ideal_toffoli, parse_circuit, with_variants)
-from .gates import (EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant,
-                    cnot_variant, gate_infidelity)
+from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
+                      circuit_infidelity, circuit_unitary, ideal_toffoli, op_core,
+                      parse_circuit, with_variants)
+from .gates import EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant, gate_infidelity
 from .orient import pair_cancel
 
 log = logging.getLogger(__name__)
@@ -127,10 +127,12 @@ def strategy_circuit(circuit: Circuit, strategy: str) -> Circuit:
     return with_variants(circuit, {i: variant for i in circuit.cnot_indices})
 
 
-def _underlying_gate_variant(strategy: str) -> PulseVariant:
+def _gate_op(strategy: str) -> GateOp:
+    """The two-qubit CNOT whose local core is the strategy's gate column."""
     # The pair strategy is built from the control-X sequence and its adjoint,
     # which share one gate infidelity.
-    return PulseVariant.SK1_XI if strategy == "sk1_pair" else PulseVariant(strategy)
+    variant = PulseVariant.SK1_XI if strategy == "sk1_pair" else PulseVariant(strategy)
+    return GateOp("CNOT", (0, 1), variant=variant)
 
 
 def _evaluate_point(args) -> SweepRecord:
@@ -138,9 +140,8 @@ def _evaluate_point(args) -> SweepRecord:
     err = ErrorModel(epsilon)
     gate_vals: dict[str, float] = {}
     circ_vals: dict[str, float] = {}
-    for strategy, circuit in assigned.items():
-        core = cnot_variant(_underlying_gate_variant(strategy), 0, 1, err, 2)
-        gate_vals[strategy] = gate_infidelity(TEXTBOOK_CNOT, core)
+    for strategy, (gate, circuit) in assigned.items():
+        gate_vals[strategy] = gate_infidelity(TEXTBOOK_CNOT, op_core(gate, err))
         if is_gate_level:
             circ_vals[strategy] = gate_infidelity(ideal_toffoli(),
                                                   circuit_unitary(circuit, err))
@@ -153,14 +154,14 @@ def _evaluate_point(args) -> SweepRecord:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point; deterministic given the config.
 
-    Each strategy's circuit is planned once, since no plan depends on
-    epsilon.  Grid points are independent; with ``workers > 1`` they are
-    evaluated by a process pool and merged in epsilon order, so the output
-    does not depend on scheduling.
+    Each strategy's circuit is planned, and its gate-column CNOT built,
+    once, since neither depends on epsilon.  Grid points are independent;
+    with ``workers > 1`` they are evaluated by a process pool and merged in
+    epsilon order, so the output does not depend on scheduling.
     """
     circuit = resolve_circuit(cfg)
     is_gate_level = cfg.circuit == "toffoli"
-    assigned = {s: strategy_circuit(circuit, s) for s in cfg.variants}
+    assigned = {s: (_gate_op(s), strategy_circuit(circuit, s)) for s in cfg.variants}
     tasks = [(assigned, is_gate_level, eps) for eps in cfg.grid()]
     if cfg.workers > 1:
         # One chunk per worker, so each worker unpickles the strategy

@@ -400,7 +400,12 @@ def test_parse_comments_and_errors():
     ("qubits 2\nh 0\nqubits 3\n", 3, "repeated 'qubits'"),
     ("qubits 1\nrx 0 nan\n", 2, "finite"),
     ("qubits 2\noutput 0 1 = 11\nx 0\ncnot 0 -1\n", 4, "nonnegative"),
-], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle", "negative-wire"])
+    ("qubits 7\n", 1, "width must be in 1..6"),
+    ("qubits 3\ncnot 0 9\n", 2, "exceeds width 3"),
+    ("qubits 2\noutput 0 5 = 10\n", 2, "output register .* is not a subset"),
+    ("qubits 2\ninput 011\n", 2, "input state label"),
+], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle", "negative-wire",
+        "wide-register", "wire-past-width", "output-past-width", "long-input"])
 def test_parse_rejects_guesses(text, line, reason):
     with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
         parse_circuit(text)

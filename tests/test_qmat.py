@@ -1,6 +1,7 @@
 """Pauli algebra, closed-form rotations, conjugation decoding, and embedding."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -348,7 +349,10 @@ def test_apply_local_matches_bitwise_oracle():
     # the register matrix entry by entry: <i|U|j> is the local entry between
     # the wire bits of i and j when i and j agree off the wires, else 0
     rng = np.random.default_rng(17)
-    for n, wires in ((1, [0]), (3, [2]), (3, [2, 0]), (4, [1, 3]), (6, [5, 0]), (6, [2])):
+    cases = [(n, [q]) for n in range(1, 5) for q in range(n)]
+    cases += [(n, list(pair)) for n in range(2, 5) for pair in permutations(range(n), 2)]
+    cases += [(6, [5, 0]), (6, [2])]
+    for n, wires in cases:
         rest = [q for q in range(n) if q not in wires]
 
         def bits(i, qs):
@@ -361,8 +365,14 @@ def test_apply_local_matches_bitwise_oracle():
             for j in range(dim):
                 if bits(i, rest) == bits(j, rest):
                     full[i, j] = u[bits(i, wires), bits(j, wires)]
-        cols = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-        np.testing.assert_allclose(apply_local(cols, u, wires), full @ cols, atol=1e-12)
+        wide = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
+        # contiguous blocks of 1 and 3 columns, a strided column slice and a
+        # Fortran-ordered copy
+        for cols in (wide[:, :1].copy(), wide[:, :3].copy(), wide[:, ::2],
+                     np.asfortranarray(wide[:, 3:])):
+            before = cols.copy()
+            np.testing.assert_allclose(apply_local(cols, u, wires), full @ before, atol=1e-12)
+            np.testing.assert_array_equal(cols, before)
         np.testing.assert_allclose(embed(u, wires, n), full)
 
 
