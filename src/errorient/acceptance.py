@@ -18,8 +18,7 @@ from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
                     gate_infidelity, sk1)
 from .orient import ErrorPlacement, find_conjugate_pairs, trace_orientation
-from .qmat import (NotPauli, PauliString, distance_up_to_phase, pauli_matrix, rot,
-                   third_axis)
+from .qmat import PauliString, distance_up_to_phase, pauli_matrix, rot, third_axis
 from .sweep import (CANONICAL_WINDOW, SweepConfig, fit_slope, resolve_circuit,
                     run_sweep, strategy_circuit)
 
@@ -246,7 +245,7 @@ def _brute_force_terminal(circuit: Circuit, placement: ErrorPlacement,
     n = circuit.width
     letters = ["I"] * n
     letters[placement.qubit] = placement.axis
-    m = complex(placement.sign) * pauli_matrix(PauliString("".join(letters)))
+    m = pauli_matrix(PauliString("".join(letters)))
     ideal = ErrorModel(0.0)
     for op in circuit.ops[placement.op_index + 1:]:
         g = op_unitary(op, n, ideal)
@@ -273,7 +272,7 @@ def check_pass_soundness() -> CriterionResult:
                 traced = trace_orientation(bv, placement)
                 brute = _brute_force_terminal(bv, placement, basis)
                 total += 1
-                if traced is NotPauli or traced != brute:
+                if traced != brute:
                     mismatches += 1
     toffoli_pairs = find_conjugate_pairs(build_toffoli())
     pea = build_pea()

@@ -3,9 +3,10 @@
 Circuits are immutable: a tuple of gate operations plus an input state, an
 output register, and the ideal pure state expected on that register.  The
 simulator is exact (dense state vectors, no sampling); the systematic error
-``epsilon`` enters only through two-qubit XX/YY pulses, per the gate module's
-contract.  Circuit infidelity sums the squared amplitudes of the final state
-orthogonal to the ideal output, so it needs no ``1 - fidelity`` subtraction.
+``epsilon`` enters only through CNOTs, via the XX pulse inside each, per the
+gate module's contract.  Circuit infidelity sums the squared amplitudes of the
+final state orthogonal to the ideal output, so it needs no ``1 - fidelity``
+subtraction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qmat
-from .gates import ErrorModel, PulseVariant, _cnot_core, noisy_rot, sk1
+from .gates import ErrorModel, PulseVariant, _cnot_core
 from .qmat import MAX_QUBITS, PauliString, apply_local, embed, rot
 
 _SQ2 = 1 / math.sqrt(2)
@@ -39,28 +40,22 @@ for _core in _FIXED_1Q.values():
 del _core
 
 _ROTATION_1Q = {"RX": "X", "RY": "Y", "RZ": "Z"}
-_TWO_QUBIT_PULSES = ("XX", "YY")
 
-# Correction axis of corrected raw pulses; the residual then sits on the first
-# listed wire (Z for an XX pulse, X for a YY pulse).
-_PULSE_CORRECTION_AXIS = {"XX": PauliString("YX"), "YY": PauliString("ZY")}
-
-GATE_KINDS = tuple(_FIXED_1Q) + tuple(_ROTATION_1Q) + ("CNOT",) + _TWO_QUBIT_PULSES
+GATE_KINDS = tuple(_FIXED_1Q) + tuple(_ROTATION_1Q) + ("CNOT",)
 
 
 @dataclass(frozen=True, slots=True)
 class GateOp:
     """One circuit element: a named gate on specific wires.
 
-    ``angle`` applies to rotation gates, ``variant`` to CNOT, and ``sk1`` marks
-    a raw XX/YY pulse as carrying its compensating correction sequence.
+    ``angle`` applies to rotation gates and ``variant`` to CNOT, the only op
+    that feels the error model.
     """
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
     variant: PulseVariant | None = None
-    sk1: bool = False
 
     def __post_init__(self):
         kind = self.kind.upper()
@@ -70,12 +65,12 @@ class GateOp:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"{kind} qubits must be nonnegative, got {self.qubits}")
-        arity = 2 if kind == "CNOT" or kind in _TWO_QUBIT_PULSES else 1
+        arity = 2 if kind == "CNOT" else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{kind} takes {arity} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{kind} qubits must be distinct, got {self.qubits}")
-        needs_angle = kind in _ROTATION_1Q or kind in _TWO_QUBIT_PULSES
+        needs_angle = kind in _ROTATION_1Q
         if needs_angle and self.angle is None:
             raise ValueError(f"{kind} requires an angle")
         if not needs_angle and self.angle is not None:
@@ -89,8 +84,6 @@ class GateOp:
             )
         elif self.variant is not None:
             raise ValueError(f"{kind} takes no pulse variant")
-        if self.sk1 and kind not in _TWO_QUBIT_PULSES:
-            raise ValueError("sk1 correction applies only to XX/YY pulses")
 
     @property
     def control(self) -> int:
@@ -180,16 +173,11 @@ def with_variants(circuit: Circuit, assignment: dict[int, PulseVariant]) -> Circ
 def op_core(op: GateOp, err: ErrorModel) -> np.ndarray:
     """Local 2x2 or 4x4 matrix of one op, tensor factors in ``op.qubits`` order.
 
-    Epsilon touches only CNOT and XX/YY pulses.  The result may be a shared
-    read-only array; callers must not modify it.
+    Epsilon touches only CNOTs.  The result may be a shared read-only array;
+    callers must not modify it.
     """
     if op.kind == "CNOT":
         return _cnot_core(op.variant, err.epsilon)
-    if op.kind in _TWO_QUBIT_PULSES:
-        gen = PauliString(op.kind)
-        if op.sk1:
-            return sk1(gen, _PULSE_CORRECTION_AXIS[op.kind], op.angle, err)
-        return noisy_rot(gen, op.angle, err)
     if op.kind in _ROTATION_1Q:
         return rot(PauliString(_ROTATION_1Q[op.kind]), op.angle)
     return _FIXED_1Q[op.kind]
@@ -392,8 +380,6 @@ def format_circuit(circuit: Circuit) -> str:
             parts.append(f"{op.angle:.17g}")
         if op.kind == "CNOT" and op.variant is not PulseVariant.NAIVE:
             parts.append(op.variant.value)
-        if op.sk1:
-            parts.append("sk1")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -491,12 +477,6 @@ def _parse_op(name: str, args: tuple[str, ...]) -> GateOp:
         _check_count(args, 2, 3)
         variant = PulseVariant(args[2].lower()) if len(args) > 2 else None
         return GateOp("CNOT", (int(args[0]), int(args[1])), variant=variant)
-    if kind in _TWO_QUBIT_PULSES:
-        _check_count(args, 3, 4)
-        if len(args) > 3 and args[3].lower() != "sk1":
-            raise ValueError(f"unknown pulse flag {args[3]!r}; expected 'sk1'")
-        return GateOp(kind, (int(args[0]), int(args[1])), angle=float(args[2]),
-                      sk1=len(args) > 3)
     if kind in _ROTATION_1Q:
         _check_count(args, 2)
         return GateOp(kind, (int(args[0]),), angle=float(args[1]))

@@ -1,11 +1,12 @@
 """Ideal, noisy, and composite-pulse-corrected gates, and gate infidelity.
 
-The error model is a single systematic overrotation: every two-qubit XX or YY
-pulse angle is scaled by ``(1 + epsilon)`` while single-qubit rotations stay
-perfect.  Every CNOT variant wraps one XX(pi/2) pulse between fixed
-single-qubit layers.  The corrected variants make that pulse the compensating
-sequence :func:`sk1` and differ only in its correction axis, which sets the
-axis of the leading residual: X or Y on the control, or Y on the target.
+The error model is a single systematic overrotation: the angle of every XX
+pulse inside a CNOT is scaled by ``(1 + epsilon)`` while single-qubit
+rotations stay perfect, so CNOTs are the only gates that feel it.  Every CNOT
+variant wraps one XX(pi/2) pulse between fixed single-qubit layers.  The
+corrected variants make that pulse the compensating sequence :func:`sk1` and
+differ only in its correction axis, which alone sets the axis of the leading
+residual (:func:`residual_axis`): X or Y on the control, or Y on the target.
 Gate infidelity is the squared Frobenius distance of the residual from its
 nearest multiple of the identity, a sum of squares with no cancellation.
 """
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmat import PauliString, embed, rot, rot_blend
+from .qmat import PauliString, conjugate_pauli, embed, rot, rot_blend, third_axis
 
 EPS_LIMIT = 0.5
 
@@ -36,7 +37,7 @@ _W2 = (rot(PauliString("ZI"), -math.pi / 2)
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Systematic fractional overrotation applied to every XX and YY pulse angle."""
+    """Systematic fractional overrotation of the XX pulse angles inside every CNOT."""
 
     epsilon: float = 0.0
 
@@ -99,14 +100,23 @@ def sk1(a1: PauliString, a2: PauliString, theta: float, err: ErrorModel) -> np.n
     return corr_minus @ corr_plus @ noisy_rot(a1, theta, err)
 
 
-# Correction axis of each corrected variant's XX(pi/2) pulse.  The pulse's
-# residual axis is ``third_axis(XX, axis)``: -YI, -ZI or -IZ, which the wrapper
-# ``_W2`` carries onto X or Y on the control, or Y on the target.
+# Correction axis of each corrected variant's XX(pi/2) pulse, in the order the
+# measurement pass prefers them.  This table is the only orientation fact.
 _CORRECTION_AXIS = {
     PulseVariant.SK1_XI: PauliString("ZX"),
     PulseVariant.SK1_YI: PauliString("YX", -1),
     PulseVariant.SK1_IY: PauliString("XY", -1),
 }
+
+
+def residual_axis(variant: PulseVariant) -> PauliString:
+    """Signed axis of a corrected variant's leading residual, after the gate.
+
+    The gate is ``rot(axis, beta * epsilon^2)`` times the ideal CNOT, up to
+    third order, on (control, target): the pulse's residual axis
+    ``third_axis(XX, correction)`` carried through the wrapper ``_W2``.
+    """
+    return conjugate_pauli(_W2, third_axis(_XX, _CORRECTION_AXIS[variant]))
 
 
 @lru_cache(maxsize=4096)

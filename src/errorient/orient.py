@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, op_core
-from .gates import ErrorModel, PulseVariant
+from .gates import _CORRECTION_AXIS, ErrorModel, PulseVariant, residual_axis
 from .qmat import ATOL_ORACLE, NotPauli, PauliString, conjugate_pauli, pauli_matrix
 
 
@@ -46,13 +46,10 @@ class ErrorPlacement:
     op_index: int
     qubit: int
     axis: str
-    sign: int = 1
 
     def __post_init__(self):
         if self.axis not in ("X", "Y", "Z"):
             raise ValueError(f"axis must be X, Y, or Z, got {self.axis!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +104,7 @@ def trace_orientation(circuit: Circuit, placement: ErrorPlacement):
         raise ValueError(f"op index {placement.op_index} out of range")
     letters = ["I"] * circuit.width
     letters[placement.qubit] = placement.axis
-    phase = complex(placement.sign)
+    phase = 1 + 0j
     ideal = ErrorModel(0.0)
     for op in circuit.ops[placement.op_index + 1:]:
         local = "".join(letters[q] for q in op.qubits)
@@ -140,21 +137,23 @@ def _harmless_at_readout(pauli: PauliString, circuit: Circuit) -> bool:
     return bool(np.abs(w - np.vdot(v, w) * v).max() <= ATOL_ORACLE)
 
 
-# Candidate variants in deterministic preference order: control placements
-# first (X before Y), then the target placement.
-_MEASUREMENT_CANDIDATES = (
-    (PulseVariant.SK1_XI, "control", "X"),
-    (PulseVariant.SK1_YI, "control", "Y"),
-    (PulseVariant.SK1_IY, "target", "Y"),
-)
+def _measurement_candidate(variant: PulseVariant) -> tuple[PulseVariant, int, str]:
+    """The variant, the wire (0 control, 1 target) and the axis of its residual."""
+    letters = residual_axis(variant).letters
+    (wire,) = [k for k, ch in enumerate(letters) if ch != "I"]
+    return variant, wire, letters[wire]
+
+
+# Candidate variants in the correction table's preference order.
+_MEASUREMENT_CANDIDATES = tuple(map(_measurement_candidate, _CORRECTION_AXIS))
 
 
 def _choose_for_cnot(circuit: Circuit, op_index: int) -> Assignment:
     op = circuit.ops[op_index]
     if circuit.output_register:
-        for variant, where, axis in _MEASUREMENT_CANDIDATES:
-            qubit = op.control if where == "control" else op.target
-            terminal = trace_orientation(circuit, ErrorPlacement(op_index, qubit, axis))
+        for variant, wire, axis in _MEASUREMENT_CANDIDATES:
+            placement = ErrorPlacement(op_index, op.qubits[wire], axis)
+            terminal = trace_orientation(circuit, placement)
             if terminal is Opaque:
                 continue
             if _harmless_at_readout(terminal, circuit):

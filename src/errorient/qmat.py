@@ -85,10 +85,6 @@ class PauliString:
     def n(self) -> int:
         return len(self.letters)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, ch in enumerate(self.letters) if ch != "I")
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
             return NotImplemented

@@ -40,15 +40,13 @@ def test_gateop_validation():
         GateOp("CNOT", (1, 1))
     with pytest.raises(ValueError):
         GateOp("H", (0,), variant=PulseVariant.SK1_XI)
-    with pytest.raises(ValueError):
-        GateOp("H", (0,), sk1=True)
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        GateOp("XX", (0, 1), angle=1.0)  # raw pulses are not ops
     with pytest.raises(ValueError, match="nonnegative"):
         GateOp("H", (-1,))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             GateOp("RX", (0,), angle=bad)
-        with pytest.raises(ValueError, match="finite"):
-            GateOp("XX", (0, 1), angle=bad)
 
 
 def test_cnot_defaults_to_naive():
@@ -131,10 +129,6 @@ cnot 1 4 sk1_xi
 cnot 4 2 sk1_mxi
 cnot 0 3 sk1_yi
 cnot 2 1 sk1_iy
-xx 4 1 1.3
-yy 0 3 5.9
-xx 2 0 0.4 sk1
-yy 3 1 11.2 sk1
 """)
 
 
@@ -173,7 +167,7 @@ def test_fidelity_requires_ideal_output():
 
 
 # ---------------------------------------------------------------------------
-# gamma gate and raw two-qubit pulses
+# gamma gate
 # ---------------------------------------------------------------------------
 
 def test_gamma_maps_z_to_y():
@@ -181,27 +175,6 @@ def test_gamma_maps_z_to_y():
     Y = pauli_matrix(PauliString("Y"))
     np.testing.assert_allclose(GAMMA @ Z @ GAMMA.conj().T, Y, atol=1e-14)
     np.testing.assert_allclose(GAMMA @ GAMMA, np.eye(2), atol=1e-14)  # self-inverse
-
-
-def test_raw_pulse_carries_error():
-    op = GateOp("XX", (0, 1), angle=math.pi / 2)
-    got = op_unitary(op, 2, ErrorModel(0.1))
-    np.testing.assert_allclose(got, rot(PauliString("XX"), (math.pi / 2) * 1.1))
-
-
-def test_corrected_pulse_noiseless_collapse():
-    op = GateOp("YY", (0, 1), angle=0.8, sk1=True)
-    got = op_unitary(op, 2, E0)
-    assert distance_up_to_phase(got, rot(PauliString("YY"), 0.8)) < 1e-12
-
-
-def test_corrected_pulse_suppresses_error():
-    ideal = rot(PauliString("XX"), math.pi / 2)
-    raw = GateOp("XX", (0, 1), angle=math.pi / 2)
-    fixed = GateOp("XX", (0, 1), angle=math.pi / 2, sk1=True)
-    err = ErrorModel(0.01)
-    assert (gate_infidelity(ideal, op_unitary(fixed, 2, err))
-            < 1e-2 * gate_infidelity(ideal, op_unitary(raw, 2, err)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +341,6 @@ def test_roundtrip_all_gate_kinds():
         GateOp("RX", (0,), angle=0.25), GateOp("RY", (1,), angle=-1.5),
         GateOp("RZ", (2,), angle=math.pi / 7),
         GateOp("CNOT", (0, 2), variant=PulseVariant.SK1_MXI),
-        GateOp("XX", (1, 2), angle=1.25, sk1=True),
-        GateOp("YY", (0, 1), angle=-0.75),
     )
     c = Circuit(width=3, ops=ops, output_register=(0,), ideal_output="1")
     back = parse_circuit(format_circuit(c))
@@ -396,7 +367,9 @@ def test_parse_comments_and_errors():
 
 @pytest.mark.parametrize("text, line, reason", [
     ("qubits 2\nh 0 1\n", 2, "expected 1 argument"),
-    ("qubits 2\nxx 0 1 0.5 skl\n", 2, "skl"),
+    ("qubits 2\nxx 0 1 0.5\n", 2, "unknown gate 'xx'"),
+    ("qubits 2\nh 1\nyy 1 0 0.3 sk1\n", 3, "unknown gate 'yy'"),
+    ("qubits 2\ncnot 0 1 sk1\n", 2, "'sk1' is not a valid PulseVariant"),
     ("qubits 2\nh 0\nqubits 3\n", 3, "repeated 'qubits'"),
     ("qubits 1\nrx 0 nan\n", 2, "finite"),
     ("qubits 2\noutput 0 1 = 11\nx 0\ncnot 0 -1\n", 4, "nonnegative"),
@@ -404,8 +377,9 @@ def test_parse_comments_and_errors():
     ("qubits 3\ncnot 0 9\n", 2, "exceeds width 3"),
     ("qubits 2\noutput 0 5 = 10\n", 2, "output register .* is not a subset"),
     ("qubits 2\ninput 011\n", 2, "input state label"),
-], ids=["extra-wire", "misspelt-sk1", "second-qubits", "nan-angle", "negative-wire",
-        "wide-register", "wire-past-width", "output-past-width", "long-input"])
+], ids=["extra-wire", "raw-xx", "raw-yy-sk1", "cnot-sk1-flag", "second-qubits",
+        "nan-angle", "negative-wire", "wide-register", "wire-past-width",
+        "output-past-width", "long-input"])
 def test_parse_rejects_guesses(text, line, reason):
     with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
         parse_circuit(text)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from errorient.gates import (EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel, PulseVariant,
-                             Sk1Params, cnot_variant, gate_infidelity,
-                             noisy_rot, sk1)
+from errorient.gates import (_CORRECTION_AXIS, EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel,
+                             PulseVariant, Sk1Params, cnot_variant, gate_infidelity,
+                             noisy_rot, residual_axis, sk1)
 from errorient.qmat import (PauliString, distance_up_to_phase, pauli_matrix, rot,
                             third_axis)
 from support import is_unitary
@@ -164,12 +164,6 @@ def test_gate_scaling_exponents():
         assert abs(fit(EPS_GRID, ys) - 4.0) <= 0.1
 
 
-_EXPECTED_RESIDUAL_AXIS = {
-    PulseVariant.SK1_XI: "XI",
-    PulseVariant.SK1_YI: "YI",
-    PulseVariant.SK1_IY: "IY",
-}
-
 _PAULI2 = [a + b for a in "IXYZ" for b in "IXYZ"][1:]
 
 
@@ -183,15 +177,19 @@ def _residual_coefficients(variant, eps):
             for s in _PAULI2}
 
 
-@pytest.mark.parametrize("variant,axis", list(_EXPECTED_RESIDUAL_AXIS.items()))
+@pytest.mark.parametrize("variant,axis", [(v, residual_axis(v).letters)
+                                           for v in _CORRECTION_AXIS])
 def test_residual_orientation(variant, axis):
-    # dominant residual generator is the advertised single-qubit Pauli and the
-    # rest decays at least one order faster
+    # dominant residual generator is the derived single-qubit Pauli, rotated
+    # by beta eps^2 about its signed axis (coefficient -i sign beta eps^2 / 2),
+    # and the rest decays at least one order faster
+    sign_beta = residual_axis(variant).phase.real * Sk1Params.for_angle(math.pi / 2).beta
     others_by_eps = []
     for eps in EPS_GRID:
         coeffs = _residual_coefficients(variant, float(eps))
         dominant = max(coeffs, key=lambda s: abs(coeffs[s]))
         assert dominant == axis
+        assert coeffs[axis].imag * sign_beta < 0
         others_by_eps.append(max(abs(c) for s, c in coeffs.items() if s != axis))
     dominant_slope = fit(EPS_GRID, [abs(_residual_coefficients(variant, float(e))[axis])
                                     for e in EPS_GRID])

@@ -41,8 +41,8 @@ def test_trace_x_through_hadamard():
 def test_trace_after_last_gate_unchanged():
     c = build_bv("1111")
     last = len(c.ops) - 1
-    got = trace_orientation(c, ErrorPlacement(last, 2, "Y", sign=-1))
-    assert got == PauliString("IIYII", -1)
+    got = trace_orientation(c, ErrorPlacement(last, 2, "Y"))
+    assert got == PauliString("IIYII")
 
 
 def test_trace_stops_at_non_clifford_on_support():
@@ -70,8 +70,6 @@ def test_trace_validates_index():
         trace_orientation(c, ErrorPlacement(len(c.ops), 0, "X"))
     with pytest.raises(ValueError):
         ErrorPlacement(0, 0, "Q")
-    with pytest.raises(ValueError):
-        ErrorPlacement(0, 0, "X", sign=2)
 
 
 def test_trace_matches_brute_force_on_bv():
@@ -91,9 +89,10 @@ def _dense_trace(circuit, placement, unitaries):
     ``unitaries[i] = op_unitary(circuit.ops[i], ...)`` at epsilon = 0."""
     letters = ["I"] * circuit.width
     letters[placement.qubit] = placement.axis
-    pauli = PauliString("".join(letters), complex(placement.sign))
+    pauli = PauliString("".join(letters))
     for i in range(placement.op_index + 1, len(circuit.ops)):
-        if not set(circuit.ops[i].qubits) & set(pauli.support):
+        support = {k for k, ch in enumerate(pauli.letters) if ch != "I"}
+        if not set(circuit.ops[i].qubits) & support:
             continue
         pauli = conjugate_pauli(unitaries[i], pauli)
         if pauli is NotPauli:
@@ -104,14 +103,14 @@ def _dense_trace(circuit, placement, unitaries):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(circuits())
 def test_trace_matches_dense_conjugation(circuit):
-    # every (op index, wire, axis) placement, signs alternating; Opaque
+    # every (op index, wire, axis) placement, phases included; Opaque
     # results must agree too
     ideal = ErrorModel(0.0)
     unitaries = [op_unitary(op, circuit.width, ideal) for op in circuit.ops]
     for i in range(len(circuit.ops)):
         for q in range(circuit.width):
-            for k, axis in enumerate("XYZ"):
-                placement = ErrorPlacement(i, q, axis, sign=(-1) ** (i + q + k))
+            for axis in "XYZ":
+                placement = ErrorPlacement(i, q, axis)
                 want = _dense_trace(circuit, placement, unitaries)
                 got = trace_orientation(circuit, placement)
                 assert got is want if want is Opaque else got == want, placement

@@ -81,11 +81,6 @@ def test_pauli_string_validation():
         PauliString("X" * 7)
 
 
-def test_support():
-    assert PauliString("II").support == ()
-    assert PauliString("IXIZ").support == (1, 3)
-
-
 @pytest.mark.parametrize("a", list("IXYZ"))
 @pytest.mark.parametrize("b", list("IXYZ"))
 def test_single_letter_products_match_matrices(a, b):
