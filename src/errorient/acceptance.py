@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -17,7 +18,7 @@ from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
                       circuit_infidelity, op_core, op_unitary, simulate)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
                     gate_infidelity, sk1)
-from .orient import ErrorPlacement, find_conjugate_pairs, trace_orientation
+from .orient import find_conjugate_pairs, trace_orientation
 from .qmat import PauliString, distance_up_to_phase, pauli_matrix, rot, third_axis
 from .sweep import (CANONICAL_WINDOW, SweepConfig, fit_slope, resolve_circuit,
                     run_sweep, strategy_circuit)
@@ -35,16 +36,11 @@ class CriterionResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-_sweep_cache: dict = {}
-
-
+@cache
 def _sweep(circuit: str, variants: tuple[str, ...]):
-    key = (circuit, variants)
-    if key not in _sweep_cache:
-        cfg = SweepConfig(circuit=circuit, variants=variants,
-                          eps_min=CANONICAL_WINDOW[0], eps_max=CANONICAL_WINDOW[1])
-        _sweep_cache[key] = (cfg, run_sweep(cfg))
-    return _sweep_cache[key]
+    cfg = SweepConfig(circuit=circuit, variants=variants,
+                      eps_min=CANONICAL_WINDOW[0], eps_max=CANONICAL_WINDOW[1])
+    return cfg, run_sweep(cfg)
 
 
 def _series(records, series):
@@ -236,18 +232,16 @@ def _pauli_basis(n: int) -> tuple[list[str], np.ndarray]:
     return labels, rows
 
 
-def _brute_force_terminal(circuit: Circuit, placement: ErrorPlacement,
+def _brute_force_terminal(circuit: Circuit, op_index: int, pauli: PauliString,
                           basis: tuple[list[str], np.ndarray]) -> PauliString:
     """Terminal Pauli by explicit matrix conjugation and full basis projection.
 
     ``basis`` is :func:`_pauli_basis` of the circuit's width.
     """
     n = circuit.width
-    letters = ["I"] * n
-    letters[placement.qubit] = placement.axis
-    m = pauli_matrix(PauliString("".join(letters)))
+    m = pauli_matrix(pauli)
     ideal = ErrorModel(0.0)
-    for op in circuit.ops[placement.op_index + 1:]:
+    for op in circuit.ops[op_index + 1:]:
         g = op_unitary(op, n, ideal)
         m = g @ m @ g.conj().T
     labels, rows = basis
@@ -268,9 +262,9 @@ def check_pass_soundness() -> CriterionResult:
     for op_index in range(len(bv.ops)):
         for qubit in range(bv.width):
             for axis in "XYZ":
-                placement = ErrorPlacement(op_index, qubit, axis)
-                traced = trace_orientation(bv, placement)
-                brute = _brute_force_terminal(bv, placement, basis)
+                pauli = PauliString("I" * qubit + axis + "I" * (bv.width - qubit - 1))
+                traced = trace_orientation(bv, op_index, pauli)
+                brute = _brute_force_terminal(bv, op_index, pauli, basis)
                 total += 1
                 if traced != brute:
                     mismatches += 1

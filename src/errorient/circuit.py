@@ -408,6 +408,7 @@ def parse_circuit(text: str) -> Circuit:
     ideal_output = None
     header_lines: dict[str, int] = {}
     ops: list[GateOp] = []
+    op_lines: list[int] = []
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -437,6 +438,7 @@ def parse_circuit(text: str) -> Circuit:
                     output_register = tuple(int(q) for q in rest)
             else:
                 ops.append(_parse_op(head, tuple(tokens[1:])))
+                op_lines.append(lineno)
         except (ValueError, IndexError, KeyError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     if width is None:
@@ -445,9 +447,6 @@ def parse_circuit(text: str) -> Circuit:
         return Circuit(width=width, ops=tuple(ops), input_state=input_state,
                        output_register=output_register, ideal_output=ideal_output)
     except ValueError as exc:
-        op_lines = [lineno for lineno, raw in enumerate(lines, start=1)
-                    if (line := raw.split("#", 1)[0].strip())
-                    and line.split()[0].lower() not in _HEADERS]
         # Each piece on its own, in the order Circuit checks them; the first
         # one it rejects is the line that raised.
         pieces = [(header_lines["qubits"], {})]

@@ -2,16 +2,17 @@
 
 Two strategies pick the residual-error orientation of each CNOT:
 
-* measurement cancellation -- conjugate the candidate single-qubit residual
-  through the Clifford suffix of the circuit; pick an orientation whose
-  terminal Pauli leaves the ideal output unchanged up to a phase (diagonal on
-  every measured wire for a basis readout), hence invisible to the readout;
+* measurement cancellation -- place the candidate variant's residual Pauli
+  (:func:`~errorient.gates.residual_axis`) on the CNOT's wires, conjugate it
+  through the Clifford suffix of the circuit, and pick an orientation whose
+  terminal Pauli leaves the ideal output unchanged up to a phase, hence
+  invisible to the readout;
 * conjugate-pair cancellation -- CNOT pairs sharing (control, target) with a
   control-free interior get opposite-sign control-axis residuals, which cancel
   exactly at second order.
 
-Only the leading-order single-qubit residual is traced; higher-order
-remainders are accounted for by full simulation.
+Only the leading-order residual is traced; higher-order remainders are
+accounted for by full simulation.
 """
 
 from __future__ import annotations
@@ -37,19 +38,6 @@ class _Opaque:
 #: Sentinel returned by :func:`trace_orientation` when tracing meets a
 #: non-Clifford op on the error's support.  Compare with ``is``.
 Opaque = _Opaque()
-
-
-@dataclass(frozen=True)
-class ErrorPlacement:
-    """A single-qubit Pauli error inserted right after the op at ``op_index``."""
-
-    op_index: int
-    qubit: int
-    axis: str
-
-    def __post_init__(self):
-        if self.axis not in ("X", "Y", "Z"):
-            raise ValueError(f"axis must be X, Y, or Z, got {self.axis!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,26 +75,28 @@ class OrientationPlan:
                        for a in self.assignments)
 
 
-def trace_orientation(circuit: Circuit, placement: ErrorPlacement):
-    """Conjugate the placed Pauli through every subsequent op.
+def trace_orientation(circuit: Circuit, op_index: int, pauli: PauliString):
+    """Conjugate a register-wide Pauli, inserted right after the op at
+    ``op_index``, through every subsequent op.
 
-    Returns the terminal PauliString, or Opaque when an op on the error's
-    support is not Clifford on it.  Ops disjoint from the current support
-    commute trivially and are skipped.  Ops are taken at epsilon = 0: the
-    pass reasons about ideal propagation of the leading-order residual.
+    Returns the terminal PauliString, phase included, or Opaque when an op on
+    the error's support is not Clifford on it.  Ops disjoint from the current
+    support commute trivially and are skipped.  Ops are taken at epsilon = 0:
+    the pass reasons about ideal propagation of the leading-order residual.
 
     Each step conjugates only the Pauli's restriction to the op's wires
     through the op's local core, then splices the result back: the entries
     of the local product are those of the full-register one, so the
     tolerance of :func:`conjugate_pauli` means the same thing.
     """
-    if not 0 <= placement.op_index < len(circuit.ops):
-        raise ValueError(f"op index {placement.op_index} out of range")
-    letters = ["I"] * circuit.width
-    letters[placement.qubit] = placement.axis
-    phase = 1 + 0j
+    if not 0 <= op_index < len(circuit.ops):
+        raise ValueError(f"op index {op_index} out of range")
+    if pauli.n != circuit.width:
+        raise ValueError(f"{pauli.n}-qubit Pauli on a {circuit.width}-qubit circuit")
+    letters = list(pauli.letters)
+    phase = pauli.phase
     ideal = ErrorModel(0.0)
-    for op in circuit.ops[placement.op_index + 1:]:
+    for op in circuit.ops[op_index + 1:]:
         local = "".join(letters[q] for q in op.qubits)
         if set(local) == {"I"}:
             continue
@@ -123,37 +113,33 @@ def _harmless_at_readout(pauli: PauliString, circuit: Circuit) -> bool:
     """True when the terminal Pauli cannot change the output register's state.
 
     Discarded wires are free: a unitary confined to traced-out wires leaves
-    the reduced output state untouched.  For a basis-label ideal output (or
-    none), the Pauli must be diagonal (I or Z) on every measured wire, so it
-    only multiplies computational-basis states by phases.  For a state-vector
-    ideal output, that vector must be an eigenvector of the Pauli's
-    restriction to the register.
+    the reduced output state untouched.  The ideal output must be an
+    eigenvector of the Pauli's restriction to the register; for a basis
+    label that holds exactly when the restriction is I or Z on every wire.
+    A circuit with no ideal output gets that I/Z rule: it leaves every
+    computational-basis readout unchanged.
     """
     reg = circuit.output_register
-    if circuit.ideal_output is None or isinstance(circuit.ideal_output, str):
+    if circuit.ideal_output is None:
         return all(pauli.letters[q] in ("I", "Z") for q in reg)
     v = circuit.ideal_output_vector()
     w = pauli_matrix(PauliString("".join(pauli.letters[q] for q in reg))) @ v
     return bool(np.abs(w - np.vdot(v, w) * v).max() <= ATOL_ORACLE)
 
 
-def _measurement_candidate(variant: PulseVariant) -> tuple[PulseVariant, int, str]:
-    """The variant, the wire (0 control, 1 target) and the axis of its residual."""
-    letters = residual_axis(variant).letters
-    (wire,) = [k for k, ch in enumerate(letters) if ch != "I"]
-    return variant, wire, letters[wire]
-
-
-# Candidate variants in the correction table's preference order.
-_MEASUREMENT_CANDIDATES = tuple(map(_measurement_candidate, _CORRECTION_AXIS))
+# Each candidate variant's residual on (control, target), in the correction
+# table's preference order.
+_CANDIDATES = {v: residual_axis(v) for v in _CORRECTION_AXIS}
 
 
 def _choose_for_cnot(circuit: Circuit, op_index: int) -> Assignment:
     op = circuit.ops[op_index]
     if circuit.output_register:
-        for variant, wire, axis in _MEASUREMENT_CANDIDATES:
-            placement = ErrorPlacement(op_index, op.qubits[wire], axis)
-            terminal = trace_orientation(circuit, placement)
+        for variant, residual in _CANDIDATES.items():
+            letters = ["I"] * circuit.width
+            letters[op.control], letters[op.target] = residual.letters
+            terminal = trace_orientation(circuit, op_index,
+                                         PauliString("".join(letters), residual.phase))
             if terminal is Opaque:
                 continue
             if _harmless_at_readout(terminal, circuit):

@@ -156,8 +156,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     Each strategy's circuit is planned, and its gate-column CNOT built,
     once, since neither depends on epsilon.  Grid points are independent;
-    with ``workers > 1`` they are evaluated by a process pool and merged in
-    epsilon order, so the output does not depend on scheduling.
+    with ``workers > 1`` they are evaluated by a process pool, whose ``map``
+    returns them in grid order, so the output does not depend on scheduling.
     """
     circuit = resolve_circuit(cfg)
     is_gate_level = cfg.circuit == "toffoli"
@@ -168,11 +168,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         # circuits once rather than once per grid point.
         chunksize = math.ceil(len(tasks) / cfg.workers)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
-    else:
-        records = [_evaluate_point(t) for t in tasks]
-    records.sort(key=lambda r: r.epsilon)
-    return records
+            return list(pool.map(_evaluate_point, tasks, chunksize=chunksize))
+    return [_evaluate_point(t) for t in tasks]
 
 
 def _fit_points(records: list[SweepRecord], series: str, window: tuple[float, float]):

@@ -1,6 +1,7 @@
-"""Helpers shared by the test modules: a unitarity check and a circuit generator."""
+"""Helpers shared by the test modules: a unitarity check and circuit generators."""
 
 import math
+import random
 
 import numpy as np
 from hypothesis import strategies as st
@@ -56,3 +57,45 @@ def circuits(draw, min_width=3, max_width=6, clifford_t=True, vector_input=False
         vec = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
         input_state = vec / np.linalg.norm(vec)
     return Circuit(width=width, ops=tuple(ops), input_state=input_state)
+
+
+_PLAN_1Q = (("H", None), ("X", None), ("Z", None), ("GAMMA", None),
+            ("RZ", math.pi / 2), ("RX", math.pi / 2), ("RY", math.pi))
+_PLAN_T = (("T", None), ("TDG", None))
+
+
+def plan_circuits(seed, count: int) -> list[Circuit]:
+    """``count`` seeded Clifford+T circuits of 3-6 qubits for planning.
+
+    Ops are CNOTs, conjugate-pair shapes (a CNOT, one gate on its target,
+    the same CNOT again) and single-qubit gates, a fifth of them T or Tdg.
+    Half the single-qubit gates land on a wire of the latest CNOT, so T
+    gates sit on traced paths.  Each circuit measures a seeded nonempty
+    subset of wires; every third one also states an ideal output, a seeded
+    basis label on that subset.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        width = rng.randint(3, 6)
+        ops: list[GateOp] = []
+        wires = tuple(range(width))
+        while len(ops) < 3 * width:
+            roll = rng.random()
+            if roll < 0.45:
+                c, t = rng.sample(range(width), 2)
+                ops.append(GateOp("CNOT", (c, t)))
+                wires = (c, t)
+                if roll < 0.1:
+                    kind, angle = rng.choice(_PLAN_1Q + _PLAN_T)
+                    ops += [GateOp(kind, (t,), angle=angle), GateOp("CNOT", (c, t))]
+                continue
+            kind, angle = rng.choice(_PLAN_T if rng.random() < 0.2 else _PLAN_1Q)
+            q = rng.choice(wires if rng.random() < 0.5 else range(width))
+            ops.append(GateOp(kind, (q,), angle=angle))
+        reg = tuple(sorted(rng.sample(range(width), rng.randint(1, width))))
+        label = "".join(rng.choice("01") for _ in reg) if k % 3 == 0 else None
+        out.append(Circuit(width=width, ops=tuple(ops),
+                           input_state="".join(rng.choice("01") for _ in range(width)),
+                           output_register=reg, ideal_output=label))
+    return out

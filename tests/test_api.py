@@ -6,7 +6,7 @@ import errorient
 
 PUBLIC = [
     "Assignment", "CANONICAL_WINDOW", "CapacityError", "Circuit", "ErrorModel",
-    "ErrorPlacement", "GateOp", "NotPauli", "Opaque", "OrientationPlan",
+    "GateOp", "NotPauli", "Opaque", "OrientationPlan",
     "PauliString", "PulseVariant", "Sk1Params", "SweepConfig", "SweepRecord",
     "TEXTBOOK_CNOT", "build_bv", "build_pea", "build_toffoli",
     "circuit_infidelity", "circuit_unitary", "conjugate_pauli",

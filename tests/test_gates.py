@@ -198,15 +198,19 @@ def test_residual_orientation(variant, axis):
 
 
 def test_mxi_residual_is_opposite():
-    # the adjoint variant carries the opposite-sign X rotation before the
-    # gate: post-frame for SK1_XI, pre-frame for SK1_MXI
+    # the adjoint variant carries the opposite-sign rotation before the gate:
+    # post-frame for SK1_XI, pre-frame for SK1_MXI.  The residual sits on the
+    # control alone, which is what lets find_conjugate_pairs accept any
+    # interior that leaves the control untouched.
+    axis = residual_axis(PulseVariant.SK1_XI).letters
+    assert axis[1] == "I"
     eps = 5e-3
-    xi = _residual_coefficients(PulseVariant.SK1_XI, eps)["XI"]
+    xi = _residual_coefficients(PulseVariant.SK1_XI, eps)[axis]
     mxi_gate = cnot_variant(PulseVariant.SK1_MXI, 0, 1, ErrorModel(eps), 2)
     pre_resid = TEXTBOOK_CNOT.conj().T @ mxi_gate
     c_i = np.trace(pre_resid) / 4
     pre_resid = pre_resid * np.conj(c_i) / abs(c_i)
-    mxi = complex(np.trace(pauli_matrix(PauliString("XI")).conj().T @ pre_resid) / 4)
+    mxi = complex(np.trace(pauli_matrix(PauliString(axis)).conj().T @ pre_resid) / 4)
     assert abs(xi + mxi) < abs(xi) * 1e-3
 
 

@@ -1,9 +1,13 @@
-"""Sweep numerics against frozen CSVs of the three built-in circuits.
+"""Sweep numerics and orientation plans against frozen outputs.
 
 ``tests/golden/<circuit>.csv`` is the output of ``errorient sweep --circuit
 <circuit>`` with default options: 25 points over the canonical window and all
 five strategies.  A change to the pulse cores, the simulator or the fits that
 moves these numbers beyond rounding fails here.
+
+``tests/golden/plans.txt`` holds one line per circuit of
+``support.plan_circuits(PLAN_SEED, PLAN_COUNT)``: the :func:`plan_line` of its
+:func:`plan_circuit`.  A change to either pass that moves any plan fails here.
 """
 
 import csv
@@ -12,8 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from errorient.circuit import format_circuit
+from errorient.orient import plan_circuit
 from errorient.sweep import (CANONICAL_WINDOW, FIT_FLOOR, SWEEP_STRATEGIES, SweepConfig,
                              SweepRecord, fit_slope, run_sweep, series_names)
+from support import plan_circuits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,3 +65,22 @@ def test_sweep_matches_golden(circuit):
             np.testing.assert_allclose(got[~above], want[~above], rtol=0, atol=FIT_FLOOR,
                                        err_msg=series)
         assert abs(fit_slope(records, series) - fit_slope(golden, series)) <= SLOPE_TOL, series
+
+
+PLAN_SEED = "golden-plans"
+PLAN_COUNT = 240
+
+
+def plan_line(plan) -> str:
+    """``op_index:variant:rationale`` per CNOT, the variant without its ``sk1_``
+    prefix and the rationale by its initial (m, p or d)."""
+    return " ".join(f"{a.op_index}:{a.variant.value.removeprefix('sk1_')}:{a.rationale[0]}"
+                    for a in plan.assignments)
+
+
+def test_plans_match_golden():
+    want = (GOLDEN / "plans.txt").read_text().splitlines()
+    assert len(want) == PLAN_COUNT
+    for k, circuit in enumerate(plan_circuits(PLAN_SEED, PLAN_COUNT)):
+        got = plan_line(plan_circuit(circuit))
+        assert got == want[k], f"circuit {k}:\n{format_circuit(circuit)}"

@@ -12,9 +12,9 @@ from errorient.circuit import (Circuit, GateOp, build_bv, build_pea,
                                build_toffoli, circuit_infidelity, op_unitary,
                                simulate, with_variants)
 from errorient.gates import ErrorModel, PulseVariant, cnot_variant
-from errorient.orient import (ErrorPlacement, Opaque, _choose_for_cnot,
-                              find_conjugate_pairs, pair_cancel, plan_circuit,
-                              plan_table, trace_orientation)
+from errorient.orient import (Opaque, _choose_for_cnot, find_conjugate_pairs,
+                              pair_cancel, plan_circuit, plan_table,
+                              trace_orientation)
 from errorient.qmat import (NotPauli, PauliString, conjugate_pauli,
                             distance_up_to_phase, rot)
 from errorient.sweep import FIT_FLOOR
@@ -23,6 +23,11 @@ from support import circuits
 
 def fit(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def on_wire(width, qubit, axis):
+    """The ``width``-qubit Pauli with ``axis`` on ``qubit`` and I elsewhere."""
+    return PauliString("I" * qubit + axis + "I" * (width - qubit - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -34,42 +39,46 @@ def test_trace_x_through_hadamard():
     c = Circuit(width=2,
                 ops=(GateOp("CNOT", (0, 1)), GateOp("H", (0,))),
                 output_register=(0,), ideal_output="0")
-    got = trace_orientation(c, ErrorPlacement(0, 0, "X"))
+    got = trace_orientation(c, 0, PauliString("XI"))
     assert got == PauliString("ZI")
 
 
 def test_trace_after_last_gate_unchanged():
     c = build_bv("1111")
     last = len(c.ops) - 1
-    got = trace_orientation(c, ErrorPlacement(last, 2, "Y"))
+    got = trace_orientation(c, last, PauliString("IIYII"))
     assert got == PauliString("IIYII")
 
 
 def test_trace_stops_at_non_clifford_on_support():
     c = Circuit(width=1, ops=(GateOp("H", (0,)), GateOp("T", (0,))))
-    assert trace_orientation(c, ErrorPlacement(0, 0, "X")) is Opaque
+    assert trace_orientation(c, 0, PauliString("X")) is Opaque
 
 
 def test_trace_skips_disjoint_non_clifford():
     # T on the other wire never touches the error's support
     c = Circuit(width=2, ops=(GateOp("H", (0,)), GateOp("T", (1,))))
-    got = trace_orientation(c, ErrorPlacement(0, 0, "Z"))
+    got = trace_orientation(c, 0, PauliString("ZI"))
     assert got == PauliString("ZI")
 
 
 def test_trace_grows_support_through_cnot():
     # Y on the target picks up Z on the control
     c = Circuit(width=2, ops=(GateOp("H", (0,)), GateOp("CNOT", (0, 1))))
-    got = trace_orientation(c, ErrorPlacement(0, 1, "Y"))
+    got = trace_orientation(c, 0, PauliString("IY"))
     assert got == PauliString("ZY")
 
 
 def test_trace_validates_index():
+    # the op index must name an op, and the Pauli must span the register:
+    # one wire short or one wire past it is rejected, not traced elsewhere
     c = build_bv("1111")
     with pytest.raises(ValueError):
-        trace_orientation(c, ErrorPlacement(len(c.ops), 0, "X"))
+        trace_orientation(c, len(c.ops), PauliString("XIIII"))
     with pytest.raises(ValueError):
-        ErrorPlacement(0, 0, "Q")
+        trace_orientation(c, 0, PauliString("IIII"))
+    with pytest.raises(ValueError):
+        trace_orientation(c, 0, PauliString("IIIIIX"))
 
 
 def test_trace_matches_brute_force_on_bv():
@@ -78,19 +87,16 @@ def test_trace_matches_brute_force_on_bv():
     basis = _pauli_basis(c.width)
     rng = np.random.default_rng(4)
     for _ in range(25):
-        placement = ErrorPlacement(int(rng.integers(0, len(c.ops))),
-                                   int(rng.integers(0, c.width)),
-                                   str(rng.choice(list("XYZ"))))
-        assert trace_orientation(c, placement) == _brute_force_terminal(c, placement, basis)
+        op_index = int(rng.integers(0, len(c.ops)))
+        pauli = on_wire(c.width, int(rng.integers(0, c.width)), str(rng.choice(list("XYZ"))))
+        assert (trace_orientation(c, op_index, pauli)
+                == _brute_force_terminal(c, op_index, pauli, basis))
 
 
-def _dense_trace(circuit, placement, unitaries):
+def _dense_trace(circuit, op_index, pauli, unitaries):
     """Brute-force trace: the full-register Pauli conjugated op by op through
     ``unitaries[i] = op_unitary(circuit.ops[i], ...)`` at epsilon = 0."""
-    letters = ["I"] * circuit.width
-    letters[placement.qubit] = placement.axis
-    pauli = PauliString("".join(letters))
-    for i in range(placement.op_index + 1, len(circuit.ops)):
+    for i in range(op_index + 1, len(circuit.ops)):
         support = {k for k, ch in enumerate(pauli.letters) if ch != "I"}
         if not set(circuit.ops[i].qubits) & support:
             continue
@@ -110,10 +116,24 @@ def test_trace_matches_dense_conjugation(circuit):
     for i in range(len(circuit.ops)):
         for q in range(circuit.width):
             for axis in "XYZ":
-                placement = ErrorPlacement(i, q, axis)
-                want = _dense_trace(circuit, placement, unitaries)
-                got = trace_orientation(circuit, placement)
-                assert got is want if want is Opaque else got == want, placement
+                pauli = on_wire(circuit.width, q, axis)
+                want = _dense_trace(circuit, i, pauli, unitaries)
+                got = trace_orientation(circuit, i, pauli)
+                assert got is want if want is Opaque else got == want, (i, pauli)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(circuits(), st.text("IXYZ", min_size=6, max_size=6),
+       st.sampled_from((1, -1, 1j, -1j)))
+def test_trace_matches_dense_conjugation_for_any_pauli(circuit, letters, phase):
+    # a signed Pauli on several wires at once, traced from every op
+    ideal = ErrorModel(0.0)
+    unitaries = [op_unitary(op, circuit.width, ideal) for op in circuit.ops]
+    pauli = PauliString(letters[:circuit.width], phase)
+    for i in range(len(circuit.ops)):
+        want = _dense_trace(circuit, i, pauli, unitaries)
+        got = trace_orientation(circuit, i, pauli)
+        assert got is want if want is Opaque else got == want, i
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +160,7 @@ def test_forced_control_y_terminal_not_diagonal():
     # Pauli stays off-diagonal on a measured wire
     c = build_bv("1111")
     idx = c.cnot_indices[0]
-    terminal = trace_orientation(c, ErrorPlacement(idx, c.ops[idx].control, "Y"))
+    terminal = trace_orientation(c, idx, on_wire(c.width, c.ops[idx].control, "Y"))
     assert terminal.letters[0] == "Y"
     # and full simulation confirms the scaling penalty: slope 4, not 6
     eps = np.geomspace(1e-3, 1e-2, 7)
