@@ -12,12 +12,11 @@ from .circuit import (Circuit, GateOp, build_bv, build_pea, build_toffoli,
                       ideal_toffoli, op_core, parse_circuit, simulate,
                       with_variants)
 from .gates import (TEXTBOOK_CNOT, ErrorModel, PulseVariant, Sk1Params,
-                    gate_infidelity, noisy_rot, sk1)
+                    gate_infidelity, sk1)
 from .orient import (Assignment, Opaque, OrientationPlan, find_conjugate_pairs,
                      pair_cancel, plan_circuit, trace_orientation)
 from .qmat import (CapacityError, NotPauli, PauliString, conjugate_pauli,
-                   distance_up_to_phase, pauli_matrix, rot, rot_blend,
-                   third_axis)
+                   distance_up_to_phase, pauli_matrix, rot, third_axis)
 from .sweep import (CANONICAL_WINDOW, SweepConfig, SweepRecord, emit_csv,
                     fit_slope, run_sweep)
 

@@ -12,6 +12,7 @@ subtraction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -386,6 +387,26 @@ def format_circuit(circuit: Circuit) -> str:
 
 _HEADERS = ("qubits", "input", "output")
 
+# ASCII only: int() and float() also accept "1_0", non-ASCII digits and
+# "infinity", none of which the format defines.  _ANGLE matches every finite
+# value that "%.17g" writes.
+_INDEX = re.compile(r"[0-9]+")
+_ANGLE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _index(token: str, what: str) -> int:
+    """A width or wire token as an int; ValueError unless it is ASCII digits."""
+    if not _INDEX.fullmatch(token):
+        raise ValueError(f"{what} must be a nonnegative decimal integer, got {token!r}")
+    return int(token)
+
+
+def _angle(token: str) -> float:
+    """An angle token as a float; ValueError unless it is an ASCII decimal number."""
+    if not _ANGLE.fullmatch(token):
+        raise ValueError(f"angle must be a finite decimal number, got {token!r}")
+    return float(token)
+
 
 def _check_count(args, *counts):
     """Raise ValueError unless ``len(args)`` is one of ``counts``."""
@@ -398,7 +419,8 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format; inverse of :func:`format_circuit`.
 
     Anything the format does not define is rejected with its line number:
-    repeated header lines, extra or misspelt tokens, non-finite angles, and
+    repeated header lines, extra or misspelt tokens, numbers that are not
+    plain ASCII decimals (``1_0``, non-ASCII digits), non-finite angles, and
     a width, wire or state label that :class:`Circuit` rejects.  Identical op
     lines yield one shared :class:`GateOp`.
     """
@@ -423,7 +445,7 @@ def parse_circuit(text: str) -> Circuit:
                 header_lines[head] = lineno
             if head == "qubits":
                 _check_count(tokens[1:], 1)
-                width = int(tokens[1])
+                width = _index(tokens[1], "width")
             elif head == "input":
                 _check_count(tokens[1:], 1)
                 input_state = tokens[1]
@@ -431,11 +453,11 @@ def parse_circuit(text: str) -> Circuit:
                 rest = tokens[1:]
                 if "=" in rest:
                     eq = rest.index("=")
-                    output_register = tuple(int(q) for q in rest[:eq])
+                    output_register = tuple(_index(q, "output wire") for q in rest[:eq])
                     _check_count(rest[eq + 1:], 1)
                     ideal_output = rest[eq + 1]
                 else:
-                    output_register = tuple(int(q) for q in rest)
+                    output_register = tuple(_index(q, "output wire") for q in rest)
             else:
                 ops.append(_parse_op(head, tuple(tokens[1:])))
                 op_lines.append(lineno)
@@ -475,9 +497,10 @@ def _parse_op(name: str, args: tuple[str, ...]) -> GateOp:
     if kind == "CNOT":
         _check_count(args, 2, 3)
         variant = PulseVariant(args[2].lower()) if len(args) > 2 else None
-        return GateOp("CNOT", (int(args[0]), int(args[1])), variant=variant)
+        return GateOp("CNOT", (_index(args[0], "wire"), _index(args[1], "wire")),
+                      variant=variant)
     if kind in _ROTATION_1Q:
         _check_count(args, 2)
-        return GateOp(kind, (int(args[0]),), angle=float(args[1]))
+        return GateOp(kind, (_index(args[0], "wire"),), angle=_angle(args[1]))
     _check_count(args, 1)
-    return GateOp(kind, (int(args[0]),))
+    return GateOp(kind, (_index(args[0], "wire"),))

@@ -7,6 +7,8 @@ variant wraps one XX(pi/2) pulse between fixed single-qubit layers.  The
 corrected variants make that pulse the compensating sequence :func:`sk1` and
 differ only in its correction axis, which alone sets the axis of the leading
 residual (:func:`residual_axis`): X or Y on the control, or Y on the target.
+Each variant's pulse sequence, as (generator matrix, nominal angle) pairs, is
+built once at import; epsilon enters a core only through those pulse angles.
 Gate infidelity is the squared Frobenius distance of the residual from its
 nearest multiple of the identity, a sum of squares with no cancellation.
 """
@@ -20,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmat import PauliString, conjugate_pauli, embed, rot, rot_blend, third_axis
+from .qmat import (PauliString, blend_axis, conjugate_pauli, embed, pauli_matrix, rot,
+                   third_axis)
 
 EPS_LIMIT = 0.5
 
@@ -79,9 +82,30 @@ class Sk1Params:
         return cls(theta=theta, phi_sk1=phi, beta=beta)
 
 
-def noisy_rot(generator: PauliString, theta: float, err: ErrorModel) -> np.ndarray:
-    """The attempted rotation: ``rot(generator, theta * (1 + epsilon))``."""
-    return rot(generator, theta * (1 + err.epsilon))
+def _sk1_pulses(a1: PauliString, a2: PauliString, theta: float):
+    """Pulses of :func:`sk1` as ``(generator matrix, nominal angle)``, latest first."""
+    if a1.phase != 1:
+        raise ValueError("rotation generators must be Hermitian (phase +1)")
+    params = Sk1Params.for_angle(theta)
+    return ((blend_axis(a1, a2, -params.phi_sk1), 2 * math.pi),
+            (blend_axis(a1, a2, +params.phi_sk1), 2 * math.pi),
+            (pauli_matrix(a1), theta))
+
+
+def _play(pulses, err: ErrorModel) -> np.ndarray:
+    """Product of the pulses, latest first, each angle scaled by ``(1 + epsilon)``.
+
+    A pulse ``(M, theta)`` is ``cos(theta'/2) I - i sin(theta'/2) M`` with
+    ``theta' = theta * (1 + epsilon)``, exact because ``M`` squares to the
+    identity.
+    """
+    scale = 1 + err.epsilon
+    out = None
+    for m, angle in pulses:
+        half = angle * scale / 2
+        step = math.cos(half) * np.eye(len(m), dtype=complex) - 1j * math.sin(half) * m
+        out = step if out is None else out @ step
+    return out
 
 
 def sk1(a1: PauliString, a2: PauliString, theta: float, err: ErrorModel) -> np.ndarray:
@@ -93,11 +117,7 @@ def sk1(a1: PauliString, a2: PauliString, theta: float, err: ErrorModel) -> np.n
     leading residual is ``rot(third_axis(a1, a2), beta * epsilon^2)`` up to
     third order in epsilon.
     """
-    params = Sk1Params.for_angle(theta)
-    scale = 1 + err.epsilon
-    corr_minus = rot_blend(a1, a2, -params.phi_sk1, 2 * math.pi * scale)
-    corr_plus = rot_blend(a1, a2, +params.phi_sk1, 2 * math.pi * scale)
-    return corr_minus @ corr_plus @ noisy_rot(a1, theta, err)
+    return _play(_sk1_pulses(a1, a2, theta), err)
 
 
 # Correction axis of each corrected variant's XX(pi/2) pulse, in the order the
@@ -119,16 +139,20 @@ def residual_axis(variant: PulseVariant) -> PauliString:
     return conjugate_pauli(_W2, third_axis(_XX, _CORRECTION_AXIS[variant]))
 
 
+# Each variant's pulses, built once: epsilon enters a core only through their
+# angles.  SK1_MXI has none of its own; its core is the adjoint of SK1_XI's.
+_PULSES = {PulseVariant.NAIVE: ((pauli_matrix(_XX), math.pi / 2),),
+           **{v: _sk1_pulses(_XX, axis, math.pi / 2) for v, axis in _CORRECTION_AXIS.items()}}
+
+
 @lru_cache(maxsize=4096)
 def _cnot_core(variant: PulseVariant, epsilon: float) -> np.ndarray:
     """Two-qubit CNOT realisation on (control, target) = (qubit 0, qubit 1)."""
     err = ErrorModel(epsilon)
-    if variant is PulseVariant.NAIVE:
-        core = _W2 @ noisy_rot(_XX, math.pi / 2, err) @ _W1
-    elif variant is PulseVariant.SK1_MXI:
+    if variant is PulseVariant.SK1_MXI:
         core = _cnot_core(PulseVariant.SK1_XI, epsilon).conj().T
     else:
-        core = _W2 @ sk1(_XX, _CORRECTION_AXIS[variant], math.pi / 2, err) @ _W1
+        core = _W2 @ _play(_PULSES[variant], err) @ _W1
     core.flags.writeable = False
     return core
 

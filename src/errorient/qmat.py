@@ -144,12 +144,12 @@ def rot(generator: PauliString, theta: float) -> np.ndarray:
             - 1j * math.sin(theta / 2) * pauli_matrix(generator))
 
 
-def rot_blend(a1: PauliString, a2: PauliString, phi: float, theta: float) -> np.ndarray:
-    """Rotation by ``theta`` about the blended axis ``cos(phi) a1 + sin(phi) a2``.
+def blend_axis(a1: PauliString, a2: PauliString, phi: float) -> np.ndarray:
+    """Matrix of the blended axis ``cos(phi) a1 + sin(phi) a2``.
 
-    The pair must anticommute (so the blend squares to the identity and the
-    closed form is exact) and both generators must be Hermitian: phase +1
-    or -1.
+    The pair must anticommute, so the blend squares to the identity and a
+    rotation about it has the closed form ``cos(theta/2) I - i sin(theta/2) M``,
+    and both generators must be Hermitian: phase +1 or -1.
     """
     if a1.phase.imag or a2.phase.imag:
         raise ValueError("blend generators must be Hermitian (phase +1 or -1)")
@@ -157,10 +157,7 @@ def rot_blend(a1: PauliString, a2: PauliString, phi: float, theta: float) -> np.
         raise ValueError("blend generators must act on the same register")
     if not a1.anticommutes(a2):
         raise ValueError("blend axes must anticommute")
-    axis = math.cos(phi) * pauli_matrix(a1) + math.sin(phi) * pauli_matrix(a2)
-    dim = 2 ** a1.n
-    return (math.cos(theta / 2) * np.eye(dim, dtype=complex)
-            - 1j * math.sin(theta / 2) * axis)
+    return math.cos(phi) * pauli_matrix(a1) + math.sin(phi) * pauli_matrix(a2)
 
 
 def _decode_signed_pauli(m: np.ndarray, atol: float):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,6 +163,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     assigned = {s: (_gate_op(s), strategy_circuit(circuit, s)) for s in cfg.variants}
     tasks = [(assigned, is_gate_level, eps) for eps in cfg.grid()]
     if cfg.workers > 1:
+        # Imported here: it loads multiprocessing, a cost every process that
+        # imports the package would otherwise pay even when it never pools.
+        from concurrent.futures import ProcessPoolExecutor
+
         # One chunk per worker, so each worker unpickles the strategy
         # circuits once rather than once per grid point.
         chunksize = math.ceil(len(tasks) / cfg.workers)

@@ -11,9 +11,9 @@ PUBLIC = [
     "TEXTBOOK_CNOT", "build_bv", "build_pea", "build_toffoli",
     "circuit_infidelity", "circuit_unitary", "conjugate_pauli",
     "distance_up_to_phase", "emit_csv", "find_conjugate_pairs", "fit_slope",
-    "format_circuit", "gate_infidelity", "ideal_toffoli", "noisy_rot",
+    "format_circuit", "gate_infidelity", "ideal_toffoli",
     "op_core", "pair_cancel", "parse_circuit", "pauli_matrix", "plan_circuit",
-    "rot", "rot_blend", "run_sweep", "simulate", "sk1", "third_axis",
+    "rot", "run_sweep", "simulate", "sk1", "third_axis",
     "trace_orientation", "with_variants",
 ]
 

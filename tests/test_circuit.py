@@ -348,6 +348,18 @@ def test_roundtrip_all_gate_kinds():
     assert back.ideal_output == "1"
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1e-5)
+@example(-1.7976931348623157e308)
+def test_roundtrip_any_finite_angle(angle):
+    # the parser's ASCII angle syntax must accept everything format_circuit writes
+    c = Circuit(width=1, ops=(GateOp("RZ", (0,), angle=angle),))
+    back = parse_circuit(format_circuit(c))
+    assert back.ops[0].angle == angle
+
+
 def test_parse_comments_and_errors():
     text = """
     # a comment
@@ -377,9 +389,17 @@ def test_parse_comments_and_errors():
     ("qubits 3\ncnot 0 9\n", 2, "exceeds width 3"),
     ("qubits 2\noutput 0 5 = 10\n", 2, "output register .* is not a subset"),
     ("qubits 2\ninput 011\n", 2, "input state label"),
+    ("qubits 1\nh 0\nrx 0 1_0.5\n", 3, "angle must be a finite decimal number"),
+    ("qubits 3\nh ٢\n", 2, "wire must be a nonnegative decimal integer"),
+    ("qubits 1\nrz 0 ١.5\n", 2, "angle must be a finite decimal number"),
+    ("qubits 2\ncnot 0 1_1\n", 2, "wire must be a nonnegative decimal integer"),
+    ("qubits 1_2\n", 1, "width must be a nonnegative decimal integer"),
+    ("qubits 2\noutput 0 1_0\n", 2, "output wire must be a nonnegative decimal integer"),
 ], ids=["extra-wire", "raw-xx", "raw-yy-sk1", "cnot-sk1-flag", "second-qubits",
         "nan-angle", "negative-wire", "wide-register", "wire-past-width",
-        "output-past-width", "long-input"])
+        "output-past-width", "long-input", "underscore-angle", "arabic-indic-wire",
+        "arabic-indic-angle", "underscore-wire", "underscore-width",
+        "underscore-output-wire"])
 def test_parse_rejects_guesses(text, line, reason):
     with pytest.raises(ValueError, match=f"line {line}: .*{reason}"):
         parse_circuit(text)

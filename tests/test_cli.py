@@ -1,9 +1,14 @@
 """Command-line surface: sweep, plan, verify, config files, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import errorient
 from errorient.cli import main
 
 
@@ -19,6 +24,19 @@ def test_sweep_to_file(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 6
     assert lines[0].startswith("epsilon,gate_infidelity_naive")
+
+
+def test_import_loads_no_process_pool():
+    # every process that imports the CLI would pay for multiprocessing; only
+    # run_sweep with workers > 1 may load it
+    src = str(Path(errorient.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import errorient.cli, sys; print(sorted(m for m in sys.modules "
+             "if m in ('concurrent.futures.process', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_to_stdout(capsys):

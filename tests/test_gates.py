@@ -1,15 +1,16 @@
-"""Noisy rotations, the compensating sequence, CNOT variants, gate infidelity."""
+"""Pulse sequences, the compensating sequence, CNOT variants, gate infidelity."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from errorient.gates import (_CORRECTION_AXIS, EPS_LIMIT, TEXTBOOK_CNOT, ErrorModel,
-                             PulseVariant, Sk1Params, cnot_variant, gate_infidelity,
-                             noisy_rot, residual_axis, sk1)
-from errorient.qmat import (PauliString, distance_up_to_phase, pauli_matrix, rot,
-                            third_axis)
+                             PulseVariant, Sk1Params, _W2, _cnot_core, _play, cnot_variant,
+                             gate_infidelity, residual_axis, sk1)
+from errorient.qmat import (ATOL_ORACLE, PauliString, blend_axis, distance_up_to_phase,
+                            pauli_matrix, rot, third_axis)
 from support import is_unitary
 
 XX = PauliString("XX")
@@ -43,25 +44,88 @@ def test_sk1_params():
 
 
 # ---------------------------------------------------------------------------
-# noisy_rot
+# pulse sequences, bit for bit
 # ---------------------------------------------------------------------------
 
-def test_noisy_rot_zero_error():
-    np.testing.assert_allclose(noisy_rot(XX, math.pi / 2, ErrorModel(0.0)),
-                               rot(XX, math.pi / 2))
+# Signed epsilons from 1e-6 to 0.49, both signs.
+PIN_EPS = [float(s * e) for e in np.geomspace(1e-6, 0.49, 26) for s in (1, -1)]
 
 
-def test_noisy_rot_scales_angle():
-    eps = 0.07
-    np.testing.assert_allclose(noisy_rot(XX, math.pi / 2, ErrorModel(eps)),
-                               rot(XX, (math.pi / 2) * (1 + eps)))
+def _turn(m, theta):
+    return math.cos(theta / 2) * np.eye(len(m), dtype=complex) - 1j * math.sin(theta / 2) * m
 
 
-def test_noisy_full_turn_leaks():
+def _written_out_sk1(a1, a2, theta, eps):
+    """The compensating sequence as explicit products, latest pulse first."""
+    phi = Sk1Params.for_angle(theta).phi_sk1
+    scale = 1 + eps
+    minus = math.cos(-phi) * pauli_matrix(a1) + math.sin(-phi) * pauli_matrix(a2)
+    plus = math.cos(phi) * pauli_matrix(a1) + math.sin(phi) * pauli_matrix(a2)
+    return _turn(minus, 2 * math.pi * scale) @ _turn(plus, 2 * math.pi * scale) @ rot(
+        a1, theta * scale)
+
+
+def _written_out_core(variant, eps):
+    w1 = rot(PauliString("YI"), math.pi / 2)
+    w2 = (rot(PauliString("ZI"), -math.pi / 2) @ rot(PauliString("YI"), -math.pi / 2)
+          @ rot(PauliString("IX"), -math.pi / 2))
+    if variant is PulseVariant.NAIVE:
+        pulse = rot(XX, math.pi / 2 * (1 + eps))
+    elif variant is PulseVariant.SK1_MXI:
+        return _written_out_core(PulseVariant.SK1_XI, eps).conj().T
+    else:
+        pulse = _written_out_sk1(XX, _CORRECTION_AXIS[variant], math.pi / 2, eps)
+    return w2 @ pulse @ w1
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_core_bits_match_written_out_product(variant):
+    # epsilon enters the import-time pulse table only through the angles, and
+    # the product keeps this association order, so the bits are the same
+    for eps in PIN_EPS:
+        assert np.array_equal(_cnot_core(variant, eps), _written_out_core(variant, eps))
+
+
+@pytest.mark.parametrize("a1,a2,theta", [("X", "Y", 0.7), ("X", "Z", math.pi / 2),
+                                         ("XZY", "ZZY", 1.9)])
+def test_sk1_bits_match_written_out_product(a1, a2, theta):
+    a1, a2 = PauliString(a1), PauliString(a2)
+    for eps in PIN_EPS[::5] + [0.0]:
+        assert np.array_equal(sk1(a1, a2, theta, ErrorModel(eps)),
+                              _written_out_sk1(a1, a2, theta, eps))
+
+
+def test_naive_core_scales_angle():
+    # the naive core's XX pulse turns by (pi/2)(1 + eps): relative to the
+    # ideal core that is an XX overrotation by (pi/2) eps, seen after _W2
+    ideal = _cnot_core(PulseVariant.NAIVE, 0.0)
+    for eps in (0.07, -0.07):
+        drift = _cnot_core(PulseVariant.NAIVE, eps) @ ideal.conj().T
+        np.testing.assert_allclose(drift, _W2 @ rot(XX, math.pi / 2 * eps) @ _W2.conj().T,
+                                   atol=1e-12)
+
+
+def test_play_full_turn_leaks():
     # a 2pi pulse at eps=0.1 lands at 2.2pi, visibly away from +-identity
-    got = noisy_rot(XX, 2 * math.pi, ErrorModel(0.1))
+    got = _play(((pauli_matrix(XX), 2 * math.pi),), ErrorModel(0.1))
     np.testing.assert_allclose(got, rot(XX, 2.2 * math.pi), atol=1e-12)
     assert distance_up_to_phase(got, np.eye(4, dtype=complex)) > 0.3
+
+
+def test_play_blend_vs_expm_random():
+    rng = np.random.default_rng(17)
+    done = 0
+    while done < 100:
+        n = int(rng.integers(1, 4))
+        a1, a2 = (PauliString("".join(rng.choice(list("XYZ"), size=n))) for _ in range(2))
+        if not a1.anticommutes(a2):
+            continue
+        axis = blend_axis(a1, a2, rng.uniform(0, 2 * math.pi))
+        th = rng.uniform(-2 * math.pi, 2 * math.pi)
+        eps = rng.uniform(-0.4, 0.4)
+        oracle = expm(-1j * (th * (1 + eps) / 2) * axis)
+        assert np.abs(_play(((axis, th),), ErrorModel(eps)) - oracle).max() < ATOL_ORACLE
+        done += 1
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +143,20 @@ def test_sk1_angle_range():
         sk1(XX, PauliString("YX"), 0.0, ErrorModel(0.01))
     with pytest.raises(ValueError):
         sk1(XX, PauliString("YX"), 4 * math.pi, ErrorModel(0.01))
+
+
+def test_sk1_rejects_bad_axes():
+    err = ErrorModel(0.01)
+    with pytest.raises(ValueError, match="anticommute"):
+        sk1(XX, PauliString("YY"), math.pi / 2, err)
+    with pytest.raises(ValueError, match="same register"):
+        sk1(PauliString("X"), PauliString("YI"), math.pi / 2, err)
+    for phase in (1j, -1j):
+        with pytest.raises(ValueError, match="Hermitian"):
+            sk1(XX, PauliString("YX", phase), math.pi / 2, err)
+    for phase in (-1, 1j, -1j):
+        with pytest.raises(ValueError, match="Hermitian"):
+            sk1(PauliString("XX", phase), PauliString("YX"), math.pi / 2, err)
 
 
 def test_sk1_gate_infidelity_quartic():

@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import expm
 
 from errorient.qmat import (ATOL_ORACLE, ATOL_STRUCT, CapacityError, NotPauli,
-                            PauliString, apply_local, conjugate_pauli,
+                            PauliString, apply_local, blend_axis, conjugate_pauli,
                             distance_up_to_phase, embed, pauli_matrix, rot,
-                            rot_blend, third_axis)
+                            third_axis)
 from support import is_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -125,7 +125,7 @@ def test_third_axis_requires_anticommuting():
 
 
 # ---------------------------------------------------------------------------
-# rot / rot_blend
+# rot / blend_axis
 # ---------------------------------------------------------------------------
 
 def test_rot_zero_angle():
@@ -160,41 +160,42 @@ def test_rot_group_law():
         assert np.abs(lhs - rhs).max() < ATOL_STRUCT
 
 
-def test_rot_blend_degenerate_angles():
+def test_blend_axis_degenerate_angles():
     x, y = PauliString("X"), PauliString("Y")
-    np.testing.assert_allclose(rot_blend(x, y, 0.0, 1.1), rot(x, 1.1), atol=1e-15)
-    np.testing.assert_allclose(rot_blend(x, y, math.pi / 2, 1.1), rot(y, 1.1), atol=1e-15)
+    np.testing.assert_allclose(blend_axis(x, y, 0.0), X, atol=1e-15)
+    np.testing.assert_allclose(blend_axis(x, y, math.pi / 2), Y, atol=1e-15)
     xx, yx = PauliString("XX"), PauliString("YX")
-    np.testing.assert_allclose(rot_blend(xx, yx, 0.0, 0.7), rot(xx, 0.7), atol=1e-15)
-    np.testing.assert_allclose(rot_blend(xx, yx, math.pi / 2, 0.7), rot(yx, 0.7), atol=1e-15)
+    np.testing.assert_allclose(blend_axis(xx, yx, 0.0), np.kron(X, X), atol=1e-15)
+    np.testing.assert_allclose(blend_axis(xx, yx, math.pi / 2), np.kron(Y, X), atol=1e-15)
 
 
-def test_rot_blend_diagonal_axis():
-    got = rot_blend(PauliString("X"), PauliString("Y"), math.pi / 4, math.pi)
-    np.testing.assert_allclose(got, -1j * (X + Y) / math.sqrt(2), atol=1e-12)
-    oracle = expm(-1j * (math.pi / 2) * (X + Y) / math.sqrt(2))
-    assert np.abs(got - oracle).max() < 1e-10
+def test_blend_axis_diagonal_axis():
+    got = blend_axis(PauliString("X"), PauliString("Y"), math.pi / 4)
+    np.testing.assert_allclose(got, (X + Y) / math.sqrt(2), atol=1e-15)
 
 
-def test_rot_blend_rejects_commuting_pair():
-    with pytest.raises(ValueError):
-        rot_blend(PauliString("XX"), PauliString("YY"), 0.3, 0.5)
+def test_blend_axis_rejects_commuting_pair():
+    with pytest.raises(ValueError, match="anticommute"):
+        blend_axis(PauliString("XX"), PauliString("YY"), 0.3)
+    with pytest.raises(ValueError, match="same register"):
+        blend_axis(PauliString("X"), PauliString("YI"), 0.3)
 
 
-def test_rot_blend_accepts_negated_generator():
+def test_blend_axis_accepts_negated_generator():
     # -a2 is Hermitian, and blending towards it is blending at -phi
     xx, yx = PauliString("XX"), PauliString("YX")
     for phi in (0.4, math.acos(-1 / 8)):
-        got = rot_blend(xx, PauliString("YX", -1), phi, 1.3)
-        np.testing.assert_allclose(got, rot_blend(xx, yx, -phi, 1.3), atol=1e-15)
+        got = blend_axis(xx, PauliString("YX", -1), phi)
+        np.testing.assert_allclose(got, blend_axis(xx, yx, -phi), atol=1e-15)
     for phase in (1j, -1j):
         with pytest.raises(ValueError, match="Hermitian"):
-            rot_blend(xx, PauliString("YX", phase), 0.4, 1.3)
+            blend_axis(xx, PauliString("YX", phase), 0.4)
         with pytest.raises(ValueError, match="Hermitian"):
-            rot_blend(PauliString("XX", phase), yx, 0.4, 1.3)
+            blend_axis(PauliString("XX", phase), yx, 0.4)
 
 
-def test_rot_blend_vs_expm_random():
+def test_blend_axis_squares_to_identity_random():
+    # what makes the closed-form rotation about the blend exact
     rng = np.random.default_rng(17)
     done = 0
     while done < 100:
@@ -202,11 +203,9 @@ def test_rot_blend_vs_expm_random():
         a1, a2 = random_pauli(rng, n), random_pauli(rng, n)
         if not a1.anticommutes(a2):
             continue
-        phi = rng.uniform(0, 2 * math.pi)
-        th = rng.uniform(-2 * math.pi, 2 * math.pi)
-        axis = math.cos(phi) * pauli_matrix(a1) + math.sin(phi) * pauli_matrix(a2)
-        oracle = expm(-1j * (th / 2) * axis)
-        assert np.abs(rot_blend(a1, a2, phi, th) - oracle).max() < ATOL_ORACLE
+        m = blend_axis(a1, a2, rng.uniform(0, 2 * math.pi))
+        assert np.abs(m - m.conj().T).max() < ATOL_STRUCT
+        assert np.abs(m @ m - np.eye(2 ** n)).max() < ATOL_STRUCT
         done += 1
 
 
