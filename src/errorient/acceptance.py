@@ -38,8 +38,7 @@ class CriterionResult:
 
 @cache
 def _sweep(circuit: str, variants: tuple[str, ...]):
-    cfg = SweepConfig(circuit=circuit, variants=variants,
-                      eps_min=CANONICAL_WINDOW[0], eps_max=CANONICAL_WINDOW[1])
+    cfg = SweepConfig(circuit=circuit, variants=variants)
     return cfg, run_sweep(cfg)
 
 

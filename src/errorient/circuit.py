@@ -12,6 +12,7 @@ subtraction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -61,11 +62,9 @@ class GateOp:
     def __post_init__(self):
         kind = self.kind.upper()
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"{kind} qubits must be nonnegative, got {self.qubits}")
+        object.__setattr__(self, "qubits", tuple(_integer(q, "qubit") for q in self.qubits))
         arity = 2 if kind == "CNOT" else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{kind} takes {arity} qubit(s), got {self.qubits}")
@@ -99,6 +98,13 @@ class GateOp:
         return self.qubits[1]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is a nonnegative int or numpy integer, not a bool."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__") and value >= 0:
+        return operator.index(value)
+    raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+
+
 def _as_state(value, nbits: int, what: str) -> np.ndarray:
     dim = 2 ** nbits
     if isinstance(value, str):
@@ -128,6 +134,7 @@ class Circuit:
     ideal_output: object = None         # basis label (str) or state vector on the register
 
     def __post_init__(self):
+        object.__setattr__(self, "width", _integer(self.width, "width"))
         if not 1 <= self.width <= MAX_QUBITS:
             raise ValueError(f"width must be in 1..{MAX_QUBITS}, got {self.width}")
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -136,7 +143,7 @@ class Circuit:
                 raise ValueError(f"ops must be GateOp instances, got {op!r}")
             if any(q >= self.width for q in op.qubits):
                 raise ValueError(f"op {op.kind} on {op.qubits} exceeds width {self.width}")
-        reg = tuple(int(q) for q in self.output_register)
+        reg = tuple(_integer(q, "output register wire") for q in self.output_register)
         if len(set(reg)) != len(reg) or any(not 0 <= q < self.width for q in reg):
             raise ValueError(f"output register {reg} is not a subset of the wires")
         object.__setattr__(self, "output_register", reg)
@@ -388,24 +395,24 @@ def format_circuit(circuit: Circuit) -> str:
 _HEADERS = ("qubits", "input", "output")
 
 # ASCII only: int() and float() also accept "1_0", non-ASCII digits and
-# "infinity", none of which the format defines.  _ANGLE matches every finite
-# value that "%.17g" writes.
+# "infinity", none of which the format defines.  _DECIMAL matches every finite
+# value that "%.17g" or repr() writes; the CLI's settings use both rules too.
 _INDEX = re.compile(r"[0-9]+")
-_ANGLE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _index(token: str, what: str) -> int:
-    """A width or wire token as an int; ValueError unless it is ASCII digits."""
+    """An integer token as an int; ValueError unless it is ASCII digits."""
     if not _INDEX.fullmatch(token):
         raise ValueError(f"{what} must be a nonnegative decimal integer, got {token!r}")
     return int(token)
 
 
-def _angle(token: str) -> float:
-    """An angle token as a float; ValueError unless it is an ASCII decimal number."""
-    if not _ANGLE.fullmatch(token):
-        raise ValueError(f"angle must be a finite decimal number, got {token!r}")
-    return float(token)
+def _decimal(token: str, what: str) -> float:
+    """A real-number token as a float; ValueError unless it is a finite ASCII decimal."""
+    if not (_DECIMAL.fullmatch(token) and math.isfinite(value := float(token))):
+        raise ValueError(f"{what} must be a finite decimal number, got {token!r}")
+    return value
 
 
 def _check_count(args, *counts):
@@ -501,6 +508,6 @@ def _parse_op(name: str, args: tuple[str, ...]) -> GateOp:
                       variant=variant)
     if kind in _ROTATION_1Q:
         _check_count(args, 2)
-        return GateOp(kind, (_index(args[0], "wire"),), angle=_angle(args[1]))
+        return GateOp(kind, (_index(args[0], "wire"),), angle=_decimal(args[1], "angle"))
     _check_count(args, 1)
     return GateOp(kind, (_index(args[0], "wire"),))

@@ -8,83 +8,85 @@ Subcommands:
   JSON-lines mirror to ``--out``);
 * ``verify`` -- run the acceptance battery, one pass/fail line per criterion.
 
-Options may also come from a ``key=value`` config file; command-line flags
-override config values.  Exits 0 on success, nonzero with a one-line
-diagnostic otherwise.
+Sweep settings come from flags or ``key = value`` config-file lines (flags
+win), each cast once by ``_SETTINGS`` with the circuit parser's token rules;
+``SweepConfig`` holds the defaults.  Failures exit 1 with one ``error:`` line.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
 
 from .acceptance import CRITERIA, run_all
+from .circuit import _decimal, _index
 from .orient import plan_circuit, plan_table
 from .sweep import (CANONICAL_WINDOW, SWEEP_STRATEGIES, SweepConfig, emit_csv,
                     fit_slope, load_circuit, run_sweep, series_names, usable_points)
 
-_CONFIG_KEYS = ("circuit", "variants", "eps_min", "eps_max", "points",
-                "out", "fit_window", "workers", "bv_bits")
+
+def _text(token: str, what: str) -> str:
+    return token
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"fit window must look like '1e-3:1e-2', got {text!r}") from exc
-    if not 0 < lo < hi:
-        raise ValueError(f"fit window must satisfy 0 < lo < hi, got {text!r}")
-    return lo, hi
+def _variants(token: str, what: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in token.split(",") if v.strip())
+
+
+def _window(token: str, what: str) -> tuple[float, float]:
+    bounds = tuple(_decimal(part, what) for part in token.split(":"))
+    if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
+        raise ValueError(f"{what} must be lo:hi with 0 < lo < hi, got {token!r}")
+    return bounds
+
+
+#: Each sweep setting's one cast, from a flag or config token, and its help.
+_SETTINGS = {
+    "circuit": (_text, "bv | toffoli | pea | path to a circuit file"),
+    "variants": (_variants, "comma-separated subset of " + ",".join(SWEEP_STRATEGIES)),
+    "eps_min": (_decimal, "smallest epsilon of the log-spaced grid"),
+    "eps_max": (_decimal, "largest epsilon of the log-spaced grid"),
+    "points": (_index, "number of grid points"),
+    "out": (_text, "CSV destination (default: stdout)"),
+    "fit_window": (_window, "slope-fit window as lo:hi (default 1e-3:1e-2)"),
+    "workers": (_index, "parallel grid workers"),
+    "bv_bits": (_text, "hidden string for the bv circuit"),
+}
 
 
 def _read_config(path: str) -> dict:
-    values: dict = {}
-    with open(path) as fh:
+    """Each ``key = value`` line of a config file, cast; anything else is rejected."""
+    settings: dict = {}
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            if not (line := raw.split("#", 1)[0].strip()):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
+            where = f"{path}:{lineno}"
+            key, eq, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
-    return values
+            if not eq or key not in _SETTINGS:
+                raise ValueError(f"{where}: expected <sweep setting> = <value>, got {line!r}")
+            if key in settings:
+                raise ValueError(f"{where}: repeated config key {key!r}")
+            settings[key] = _SETTINGS[key][0](value.strip(), f"{where}: {key}")
+    return settings
 
 
-def _setting(args, config: dict, key: str, default, cast):
-    flag_value = getattr(args, key)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
+def _settings(args) -> tuple[SweepConfig, tuple[float, float], str | None]:
+    """The sweep config, fit window and CSV path: flags, then config file, then defaults."""
+    settings = _read_config(args.config) if args.config else {}
+    for key, (cast, _) in _SETTINGS.items():
+        if (token := getattr(args, key)) is not None:
+            settings[key] = cast(token, "--" + key.replace("_", "-"))
+    window, out = settings.pop("fit_window", CANONICAL_WINDOW), settings.pop("out", None)
+    return SweepConfig(**settings), window, out
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    variants = _setting(args, config, "variants", ",".join(SWEEP_STRATEGIES), str)
-    cfg = SweepConfig(
-        circuit=_setting(args, config, "circuit", "bv", str),
-        variants=tuple(v.strip() for v in variants.split(",") if v.strip()),
-        eps_min=_setting(args, config, "eps_min", CANONICAL_WINDOW[0], float),
-        eps_max=_setting(args, config, "eps_max", CANONICAL_WINDOW[1], float),
-        points=_setting(args, config, "points", 25, int),
-        bv_bits=_setting(args, config, "bv_bits", "1111", str),
-        workers=_setting(args, config, "workers", 1, int),
-    )
-    window = _setting(args, config, "fit_window", CANONICAL_WINDOW, _parse_window)
-    out = _setting(args, config, "out", None, str)
+    cfg, window, out = _settings(args)
     records = run_sweep(cfg)
+    emit_csv(records, cfg, out or sys.stdout)
+    report = sys.stdout if out else sys.stderr
     if out:
-        emit_csv(records, cfg, out)
-        report = sys.stdout
         print(f"wrote {len(records)} records to {out}", file=report)
-    else:
-        emit_csv(records, cfg, sys.stdout)
-        report = sys.stderr
     for series in series_names(cfg):
         try:
             slope = fit_slope(records, series, window)
@@ -126,17 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run an epsilon sweep and emit CSV")
-    sweep.add_argument("--circuit", help="bv | toffoli | pea | path to a circuit file")
-    sweep.add_argument("--variants", help="comma-separated subset of "
-                                          + ",".join(SWEEP_STRATEGIES))
-    sweep.add_argument("--eps-min", dest="eps_min", type=float)
-    sweep.add_argument("--eps-max", dest="eps_max", type=float)
-    sweep.add_argument("--points", type=int)
-    sweep.add_argument("--out", help="CSV destination (default: stdout)")
-    sweep.add_argument("--fit-window", dest="fit_window", type=_parse_window,
-                       help="slope-fit window as lo:hi (default 1e-3:1e-2)")
-    sweep.add_argument("--workers", type=int, help="parallel grid workers")
-    sweep.add_argument("--bv-bits", dest="bv_bits", help="hidden string for the bv circuit")
+    for key, (_, help_text) in _SETTINGS.items():
+        sweep.add_argument("--" + key.replace("_", "-"), help=help_text)
     sweep.add_argument("--config", help="key=value config file; flags override")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -39,12 +39,12 @@ BUILTIN_CIRCUITS = ("bv", "toffoli", "pea")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and strategy selection for one sweep run."""
+    """Grid and strategy selection for one sweep run; the defaults are the CLI's."""
 
-    circuit: str
-    variants: tuple[str, ...]
-    eps_min: float
-    eps_max: float
+    circuit: str = "bv"
+    variants: tuple[str, ...] = SWEEP_STRATEGIES
+    eps_min: float = CANONICAL_WINDOW[0]
+    eps_max: float = CANONICAL_WINDOW[1]
     points: int = 25
     bv_bits: str = "1111"
     workers: int = 1

@@ -47,6 +47,14 @@ def test_gateop_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             GateOp("RX", (0,), angle=bad)
+    # wires are integers as given: never truncated floats, strings or bools
+    for bad in ((1.7,), ("1",), (True,), (np.bool_(False),)):
+        with pytest.raises(ValueError, match="qubit must be a nonnegative integer"):
+            GateOp("H", bad)
+    with pytest.raises(ValueError, match="qubit must be a nonnegative integer"):
+        GateOp("CNOT", (True, 2.9))
+    op = GateOp("CNOT", (np.int64(2), np.uint8(0)))
+    assert op.qubits == (2, 0) and all(type(q) is int for q in op.qubits)
 
 
 def test_cnot_defaults_to_naive():
@@ -69,6 +77,14 @@ def test_circuit_validation():
                 ideal_output=np.array([1.0, 1.0]))  # unnormalized
     with pytest.raises(ValueError):
         Circuit(width=1, ops=(), ideal_output="0")  # no register
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="width must be a nonnegative integer"):
+            Circuit(width=bad, ops=())
+    with pytest.raises(ValueError, match="output register wire must be"):
+        Circuit(width=3, ops=(), output_register=(0.5, 2.2))
+    c = Circuit(width=np.int64(3), ops=(), output_register=(np.int32(2), 0))
+    assert type(c.width) is int and c.output_register == (2, 0)
+    assert all(type(q) is int for q in c.output_register)
 
 
 @pytest.mark.parametrize("field", ["input_state", "ideal_output"])

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import errorient
-from errorient.cli import main
+from errorient.cli import _settings, build_parser, main
+from errorient.sweep import CANONICAL_WINDOW, SweepConfig
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_sweep_to_file(tmp_path, capsys):
@@ -66,6 +71,91 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_config_key(tmp_path, capsys):
+    # last-wins would silently drop the first value; the hyphen spelling is the same key
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("points = 4\n# comment\neps-min = 1e-3\npoints = 9\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:4: repeated config key 'points'\n"
+    cfg.write_text("eps_min = 1e-3\neps-min = 2e-3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: repeated config key 'eps_min'\n"
+
+
+# Numbers that int()/float() accept but the circuit format does not.
+GUESSES = [("points", "1_2"), ("points", "\u0661\u0662"), ("points", "inf"),
+           ("points", "nan"), ("points", "1e-3"), ("eps_min", "1_0e-4"),
+           ("eps_max", "infinity"), ("workers", "2.0"),
+           ("fit_window", "1e-3:inf"), ("fit_window", "1e-3"),
+           ("fit_window", "1_0e-4:1e-2"), ("fit_window", "1e-2:1e-3")]
+
+
+@pytest.mark.parametrize("key, value", GUESSES)
+def test_flag_rejects_guess(key, value, capsys):
+    flag = "--" + key.replace("_", "-")
+    assert main(["sweep", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", GUESSES)
+def test_config_rejects_guess(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"circuit = bv\n{key} = {value}\n", encoding="utf-8")
+    # the bad value is rejected even where a flag would override it
+    assert main(["sweep", "--config", str(cfg), "--" + key.replace("_", "-"), "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: {key} must ") and err.count("\n") == 1
+
+
+def test_config_file_matches_flags(tmp_path, capsys):
+    settings = {"circuit": "bv", "variants": "naive,sk1_yi", "eps_min": "2e-3",
+                "eps_max": "0.02", "points": "6", "fit_window": "2e-3:2e-2",
+                "workers": "1", "bv_bits": "1011"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr()
+    flags = [arg for k, v in settings.items() for arg in ("--" + k.replace("_", "-"), v)]
+    assert main(["sweep"] + flags) == 0
+    from_flags = capsys.readouterr()
+    assert from_config.out == from_flags.out and from_config.err == from_flags.err
+    assert from_flags.out.count("\n") == 7
+    assert from_flags.err.count("fit ") == 4
+
+
+def test_bare_sweep_uses_sweep_config_defaults():
+    assert _settings(build_parser().parse_args(["sweep"])) == (
+        SweepConfig(), CANONICAL_WINDOW, None)
+
+
+def _readme_sweeps():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("errorient sweep")]
+
+
+@pytest.mark.parametrize("argv", _readme_sweeps())
+def test_readme_sweep_examples_parse(argv):
+    # every documented command must pass the strict settings casts; no sweep runs
+    cfg, window, _ = _settings(build_parser().parse_args(argv[1:]))
+    assert isinstance(cfg, SweepConfig) and 0 < window[0] < window[1]
+
+
+def test_readme_has_sweep_examples():
+    assert len(_readme_sweeps()) >= 3
+
+
+def test_readme_config_example_parses(tmp_path):
+    (block,) = re.findall(r"```\n(# run\.cfg\n.*?)```", README.read_text(encoding="utf-8"), re.S)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    config, window, _ = _settings(build_parser().parse_args(["sweep", "--config", str(cfg)]))
+    assert config == SweepConfig(circuit="toffoli", variants=("naive", "sk1_pair"), points=13)
+    assert window == CANONICAL_WINDOW
 
 
 def test_sweep_rejects_degenerate_range(capsys):
